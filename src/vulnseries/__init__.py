@@ -2,10 +2,10 @@
 
 The pipeline: parse an advisory database, fetch or load each affected
 package's ordered release history, turn every advisory's version
-constraints into 0/1 vectors over the releases, aggregate them into a
-per-package binary series, and analyse those series with unconditional
-probabilities, first-order transition tables, and autologistic
-forecasting models.
+constraints into bitmasks over the release order, count and binarize
+them into a per-package series, and analyse those series with
+unconditional probabilities, first-order transition tables, and
+autologistic forecasting models.
 """
 
 from .errors import (
@@ -50,16 +50,12 @@ from .registry import (
     save_snapshot,
 )
 from .vectorize import (
-    AffectedVector,
     AttritionReport,
     BinarySeries,
-    ConstraintVector,
     Corpus,
-    CountVector,
-    SpecMatrix,
     aggregate,
+    bits,
     build_corpus,
-    collapse,
     corpus_rows,
     fill_clause,
     fill_constraint,

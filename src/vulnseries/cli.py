@@ -157,6 +157,38 @@ def _write_csv(
     _emit(buffer.getvalue(), path)
 
 
+# One column tuple per output table: the JSON row keys and the CSV header.
+_ATTRITION_COLUMNS = ("package", "advisory_id", "reason", "detail")
+_ATTRITION_KINDS = ("clause_drops", "advisory_drops", "package_drops", "flags")
+_MARKOV_COLUMNS = ("package", "r", "p_uncond", "p_11", "p_00", "p_11_defined", "p_00_defined")
+_REPORT_COLUMNS = (
+    "package",
+    "t",
+    "order",
+    "mean_abs_error",
+    "median_abs_error",
+    "max_abs_error",
+    "accuracy",
+    "naive_accuracy",
+    "converged",
+    "flags",
+)
+_SUMMARY_COLUMNS = (
+    "t",
+    "packages",
+    "mean_abs_error",
+    "median_abs_error",
+    "max_abs_error",
+    "accuracy",
+    "naive_accuracy",
+)
+_EXCLUSION_COLUMNS = ("package", "t", "reason", "detail")
+
+
+def _rows(records, columns: Sequence[str]) -> list[dict]:
+    return [{name: getattr(record, name) for name in columns} for record in records]
+
+
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
@@ -236,29 +268,9 @@ def cmd_ingest(config: RunConfig, transport=None) -> int:
 
 
 def _attrition_doc(report: vectorize.AttritionReport) -> dict:
-    def rows(records):
-        return [
-            {
-                "package": rec.package,
-                "advisory_id": rec.advisory_id,
-                "reason": rec.reason,
-                "detail": rec.detail,
-            }
-            for rec in records
-        ]
-
-    return {
-        "counts": {
-            "clause_drops": len(report.clause_drops),
-            "advisory_drops": len(report.advisory_drops),
-            "package_drops": len(report.package_drops),
-            "flags": len(report.flags),
-        },
-        "clause_drops": rows(report.clause_drops),
-        "advisory_drops": rows(report.advisory_drops),
-        "package_drops": rows(report.package_drops),
-        "flags": rows(report.flags),
-    }
+    doc = {kind: _rows(getattr(report, kind), _ATTRITION_COLUMNS) for kind in _ATTRITION_KINDS}
+    doc["counts"] = {kind: len(doc[kind]) for kind in _ATTRITION_KINDS}
+    return doc
 
 
 def cmd_build(config: RunConfig, transport=None) -> int:
@@ -276,18 +288,8 @@ def cmd_build(config: RunConfig, transport=None) -> int:
         fieldnames = ["package", "r", "m", "w", "counts"]
         _write_csv(fieldnames, rows, config, config.out)
         if config.attrition_out:
-            records = (
-                attrition["clause_drops"]
-                + attrition["advisory_drops"]
-                + attrition["package_drops"]
-                + attrition["flags"]
-            )
-            _write_csv(
-                ["package", "advisory_id", "reason", "detail"],
-                records,
-                config,
-                config.attrition_out,
-            )
+            records = [row for kind in _ATTRITION_KINDS for row in attrition[kind]]
+            _write_csv(_ATTRITION_COLUMNS, records, config, config.attrition_out)
     counts = attrition["counts"]
     print(
         f"build: {len(rows)} packages kept; dropped {counts['advisory_drops']} "
@@ -309,26 +311,10 @@ def cmd_markov(config: RunConfig, transport=None) -> int:
             }
             _write_json(doc, config, config.out)
         else:
-            _write_csv(
-                ["package", "r", "p_uncond", "p_11", "p_00", "p_11_defined", "p_00_defined"],
-                [],
-                config,
-                config.out,
-            )
+            _write_csv(_MARKOV_COLUMNS, [], config, config.out)
         return EXIT_OK
     summary = markov.corpus_summary(series, alpha=config.alpha)
-    records = [
-        {
-            "package": rec.package,
-            "r": rec.r,
-            "p_uncond": rec.p_uncond,
-            "p_11": rec.p_11,
-            "p_00": rec.p_00,
-            "p_11_defined": rec.p_11 is not None,
-            "p_00_defined": rec.p_00 is not None,
-        }
-        for rec in summary.records
-    ]
+    records = _rows(summary.records, _MARKOV_COLUMNS)
     stats = {
         "releases": summary.release_stats,
         "p_uncond": summary.uncond_stats,
@@ -349,12 +335,7 @@ def cmd_markov(config: RunConfig, transport=None) -> int:
         }
         _write_json(doc, config, config.out)
     else:
-        _write_csv(
-            ["package", "r", "p_uncond", "p_11", "p_00", "p_11_defined", "p_00_defined"],
-            records,
-            config,
-            config.out,
-        )
+        _write_csv(_MARKOV_COLUMNS, records, config, config.out)
         if config.summary_out:
             stat_rows = [
                 {"metric": metric, **{k: v for k, v in body.items()}}
@@ -389,37 +370,9 @@ def cmd_forecast(config: RunConfig, transport=None) -> int:
         full_sample=config.full_sample,
         tie_value=config.tie_value,
     )
-    report_rows = [
-        {
-            "package": rep.package,
-            "t": rep.t,
-            "order": rep.order,
-            "mean_abs_error": rep.mean_abs_error,
-            "median_abs_error": rep.median_abs_error,
-            "max_abs_error": rep.max_abs_error,
-            "accuracy": rep.accuracy,
-            "naive_accuracy": rep.naive_accuracy,
-            "converged": rep.converged,
-            "flags": list(rep.flags),
-        }
-        for rep in result.reports
-    ]
-    summary_rows = [
-        {
-            "t": s.t,
-            "packages": s.packages,
-            "mean_abs_error": s.mean_abs_error,
-            "median_abs_error": s.median_abs_error,
-            "max_abs_error": s.max_abs_error,
-            "accuracy": s.accuracy,
-            "naive_accuracy": s.naive_accuracy,
-        }
-        for s in result.summaries.values()
-    ]
-    exclusion_rows = [
-        {"package": e.package, "t": e.t, "reason": e.reason, "detail": e.detail}
-        for e in result.exclusions
-    ]
+    report_rows = _rows(result.reports, _REPORT_COLUMNS)
+    summary_rows = _rows(result.summaries.values(), _SUMMARY_COLUMNS)
+    exclusion_rows = _rows(result.exclusions, _EXCLUSION_COLUMNS)
     order_rows = [
         {
             "package": package,
@@ -455,38 +408,9 @@ def cmd_forecast(config: RunConfig, transport=None) -> int:
             doc["note"] = "no package passed the eligibility filters"
         _write_json(doc, config, config.out)
     else:
-        _write_csv(
-            [
-                "package",
-                "t",
-                "order",
-                "mean_abs_error",
-                "median_abs_error",
-                "max_abs_error",
-                "accuracy",
-                "naive_accuracy",
-                "converged",
-                "flags",
-            ],
-            report_rows,
-            config,
-            config.out,
-        )
+        _write_csv(_REPORT_COLUMNS, report_rows, config, config.out)
         if config.summary_out:
-            _write_csv(
-                [
-                    "t",
-                    "packages",
-                    "mean_abs_error",
-                    "median_abs_error",
-                    "max_abs_error",
-                    "accuracy",
-                    "naive_accuracy",
-                ],
-                summary_rows,
-                config,
-                config.summary_out,
-            )
+            _write_csv(_SUMMARY_COLUMNS, summary_rows, config, config.summary_out)
     kept = len(result.reports)
     print(
         f"forecast: {kept} package-horizon reports, {len(exclusion_rows)} exclusions",

@@ -51,6 +51,14 @@ class PackageStats:
     p_11: float | None
     p_00: float | None
 
+    @property
+    def p_11_defined(self) -> bool:
+        return self.p_11 is not None
+
+    @property
+    def p_00_defined(self) -> bool:
+        return self.p_00 is not None
+
 
 @dataclass(frozen=True)
 class CorpusSummary:

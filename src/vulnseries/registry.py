@@ -147,6 +147,16 @@ def _default_transport(url: str) -> tuple[int, bytes]:
     return response.status_code, response.content
 
 
+def _releases_map(package: str, body: bytes) -> dict:
+    try:
+        doc = json.loads(body)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        raise PayloadFormatError(f"payload for {package!r} is not JSON: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("releases"), dict):
+        raise PayloadFormatError(f"payload for {package!r} has no releases map")
+    return doc["releases"]
+
+
 def _earliest_upload(files: object) -> str | None:
     if not isinstance(files, list):
         return None
@@ -232,30 +242,34 @@ class PyPIClient:
             last_error = TransportError(f"index returned HTTP {status} for {package!r}")
         raise last_error or TransportError(f"no response for {package!r}")
 
-    def fetch_payload(self, package: str) -> bytes:
-        """Return the raw JSON API payload, from cache when possible."""
+    def _fetch_releases(self, package: str) -> dict:
+        """Return the payload's releases map, from cache when possible.
+
+        Only a payload that parses as a releases map is cached.  Online, a
+        cached payload that fails to parse is fetched again; offline, it
+        raises :class:`PayloadFormatError`.
+        """
         cached = self._cache_read(package)
         if cached is not None:
-            return cached
-        if self.offline:
+            try:
+                return _releases_map(package, cached)
+            except PayloadFormatError:
+                if self.offline:
+                    raise
+        elif self.offline:
             raise OfflineCacheMissError(
                 f"offline mode and no cached payload for {package!r}"
             )
         body = self._request(package)
+        releases = _releases_map(package, body)
         self._cache_write(package, body)
-        return body
+        return releases
 
     def fetch_history(self, package: str) -> tuple[ReleaseHistory, tuple[str, ...]]:
         """Fetch, parse, and order one package's release history."""
-        body = self.fetch_payload(package)
-        try:
-            doc = json.loads(body)
-        except json.JSONDecodeError as exc:
-            raise PayloadFormatError(f"payload for {package!r} is not JSON: {exc}") from exc
-        if not isinstance(doc, dict) or not isinstance(doc.get("releases"), dict):
-            raise PayloadFormatError(f"payload for {package!r} has no releases map")
         entries = [
-            (raw, _earliest_upload(files)) for raw, files in doc["releases"].items()
+            (raw, _earliest_upload(files))
+            for raw, files in self._fetch_releases(package).items()
         ]
         if not entries:
             raise PackageNotFoundError(
@@ -275,38 +289,26 @@ class PyPIClient:
         warnings: list[str] = []
         failures: list[FetchFailure] = []
 
-        def one(package: str):
-            return package, self.fetch_history(package)
-
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            futures = [pool.submit(one, p) for p in packages]
-            for future in futures:
+            futures = [pool.submit(self.fetch_history, p) for p in packages]
+            for package, future in zip(packages, futures):
                 try:
-                    package, (history, history_warnings) = future.result()
+                    history, history_warnings = future.result()
                 except PackageNotFoundError as exc:
-                    failures.append(FetchFailure(_failed_package(exc, packages), "not-found", str(exc)))
+                    failures.append(FetchFailure(package, "not-found", str(exc)))
                     continue
                 except OfflineCacheMissError as exc:
-                    failures.append(FetchFailure(_failed_package(exc, packages), "offline-miss", str(exc)))
+                    failures.append(FetchFailure(package, "offline-miss", str(exc)))
                     continue
                 except PayloadFormatError as exc:
-                    failures.append(FetchFailure(_failed_package(exc, packages), "bad-payload", str(exc)))
+                    failures.append(FetchFailure(package, "bad-payload", str(exc)))
                     continue
                 except TransportError as exc:
-                    failures.append(FetchFailure(_failed_package(exc, packages), "transport", str(exc)))
+                    failures.append(FetchFailure(package, "transport", str(exc)))
                     continue
                 histories[package] = history
                 warnings.extend(history_warnings)
         return histories, tuple(warnings), tuple(failures)
-
-
-def _failed_package(exc: Exception, packages: Sequence[str]) -> str:
-    # Error messages quote the package name; recover it for the record.
-    text = str(exc)
-    for package in packages:
-        if repr(package) in text:
-            return package
-    return "?"
 
 
 # -- snapshots ----------------------------------------------------------

@@ -1,11 +1,12 @@
 """From advisories and release histories to per-package binary series.
 
-For one advisory clause, each constraint is "filled" into a 0/1 vector
-positioned against the release order: the boundary version's index in
-the history decides which side (or point) gets ones.  Constraints of a
-clause combine with AND, the clauses of an advisory with OR, and a
-package's advisories add up into a count vector that binarizes into the
-final series (1 = release affected by at least one advisory).
+Every filled set is a release bitmask: a Python ``int`` in which bit i
+stands for release i of the history.  One constraint covers a prefix, a
+suffix, a point or everything but a point of the release order, as the
+boundary version's index decides.  Constraints of a clause combine with
+``&``, the clauses of an advisory with ``|``, and a package's advisory
+masks add up bit by bit into counts that binarize into the final series
+(1 = release affected by at least one advisory).
 
 A constraint whose boundary version never appears in the history makes
 the whole clause invalid; the advisory survives as long as one clause
@@ -15,17 +16,13 @@ remains.  Every drop is recorded in the attrition report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ClauseInvalidError
 from .registry import ReleaseHistory
 from .safetydb import Advisory, Constraint, DatabaseLoadResult, SpecClause
 
 __all__ = [
-    "ConstraintVector",
-    "SpecMatrix",
-    "AffectedVector",
-    "CountVector",
     "BinarySeries",
     "AttritionRecord",
     "AttritionReport",
@@ -33,40 +30,11 @@ __all__ = [
     "Corpus",
     "fill_constraint",
     "fill_clause",
-    "collapse",
+    "bits",
     "aggregate",
     "build_corpus",
     "corpus_rows",
 ]
-
-
-@dataclass(frozen=True)
-class ConstraintVector:
-    """0/1 marks over the releases satisfying one constraint."""
-
-    values: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SpecMatrix:
-    """The filled clause vectors of one advisory, one row per clause."""
-
-    rows: tuple[ConstraintVector, ...]
-
-
-@dataclass(frozen=True)
-class AffectedVector:
-    """Column-wise OR of a SpecMatrix: releases the advisory affects."""
-
-    advisory_id: str
-    values: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CountVector:
-    """How many advisories affect each release."""
-
-    values: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -110,12 +78,12 @@ class AttritionReport:
 
 @dataclass(frozen=True)
 class PackageResult:
-    """One package's aggregated vectors and surviving advisories."""
+    """One package's per-release advisory counts, series and advisories."""
 
     package: str
     history_length: int
     advisory_ids: tuple[str, ...]
-    counts: CountVector
+    counts: tuple[int, ...]
     series: BinarySeries
 
 
@@ -147,13 +115,13 @@ def fill_constraint(
     *,
     strict: bool = False,
     _index: Mapping | None = None,
-) -> ConstraintVector:
-    """Fill one constraint positionally against the release order.
+) -> int:
+    """Return the mask of the releases that satisfy one constraint.
 
-    The boundary index b splits the series: "<" marks [0, b), "<=" marks
-    [0, b], ">" marks (b, r), ">=" marks [b, r), "==" marks only b, and
-    "!=" marks everything except b.  A boundary version that is not in
-    the history raises :class:`ClauseInvalidError`.
+    With boundary index b in a history of r releases, "<" marks [0, b),
+    "<=" marks [0, b], ">" marks (b, r), ">=" marks [b, r), "==" marks
+    only b, and "!=" marks everything except b.  A boundary version that
+    is not in the history raises :class:`ClauseInvalidError`.
     """
     index = _index if _index is not None else _boundary_index(history, strict)
     key = constraint.version.raw if strict else constraint.version.sort_key
@@ -165,29 +133,16 @@ def fill_constraint(
             constraint=constraint.text(),
         )
     b = index[key]
-    r = len(history.releases)
-    values = [0] * r
-    op = constraint.op
-    if op == "<":
-        span = range(0, b)
-    elif op == "<=":
-        span = range(0, b + 1)
-    elif op == ">":
-        span = range(b + 1, r)
-    elif op == ">=":
-        span = range(b, r)
-    elif op == "==":
-        span = range(b, b + 1)
-    elif op == "!=":
-        for i in range(r):
-            values[i] = 1
-        values[b] = 0
-        return ConstraintVector(tuple(values))
-    else:  # pragma: no cover - parser only emits the operators above
-        raise ValueError(f"unsupported operator {op!r}")
-    for i in span:
-        values[i] = 1
-    return ConstraintVector(tuple(values))
+    below, at = (1 << b) - 1, 1 << b
+    full = (1 << len(history.releases)) - 1
+    return {
+        "<": below,
+        "<=": below | at,
+        ">": full & ~(below | at),
+        ">=": full & ~below,
+        "==": at,
+        "!=": full & ~at,
+    }[constraint.op]
 
 
 def fill_clause(
@@ -196,48 +151,30 @@ def fill_clause(
     *,
     strict: bool = False,
     _index: Mapping | None = None,
-) -> ConstraintVector:
-    """AND together the filled vectors of a clause's constraints."""
-    index = _index if _index is not None else _boundary_index(history, strict)
-    combined: list[int] | None = None
-    for constraint in clause.constraints:
-        vector = fill_constraint(constraint, history, strict=strict, _index=index)
-        if combined is None:
-            combined = list(vector.values)
-        else:
-            combined = [a & b for a, b in zip(combined, vector.values)]
-    if combined is None:
+) -> int:
+    """Return the ``&`` of the masks of a clause's constraints."""
+    if not clause.constraints:
         raise ClauseInvalidError("clause has no constraints", package=history.package)
-    return ConstraintVector(tuple(combined))
+    index = _index if _index is not None else _boundary_index(history, strict)
+    mask = -1
+    for constraint in clause.constraints:
+        mask &= fill_constraint(constraint, history, strict=strict, _index=index)
+    return mask
 
 
-def collapse(matrix: SpecMatrix, advisory_id: str = "") -> AffectedVector:
-    """OR the clause rows into the advisory's affected vector."""
-    if not matrix.rows:
-        raise ValueError("cannot collapse an empty matrix")
-    r = len(matrix.rows[0].values)
-    values = [0] * r
-    for row in matrix.rows:
-        if len(row.values) != r:
-            raise ValueError("matrix rows differ in length")
-        values = [a | b for a, b in zip(values, row.values)]
-    return AffectedVector(advisory_id, tuple(values))
+def bits(mask: int, r: int) -> tuple[int, ...]:
+    """Expand a mask into its 0/1 marks over releases 0 .. r-1."""
+    return tuple((mask >> i) & 1 for i in range(r))
 
 
 def aggregate(
-    package: str, vectors: Sequence[AffectedVector]
-) -> tuple[CountVector, BinarySeries]:
-    """Sum affected vectors into counts, then binarize (count > 0)."""
-    if not vectors:
-        raise ValueError(f"no affected vectors for {package!r}")
-    r = len(vectors[0].values)
-    counts = [0] * r
-    for vector in vectors:
-        if len(vector.values) != r:
-            raise ValueError("affected vectors differ in length")
-        counts = [a + b for a, b in zip(counts, vector.values)]
-    series = tuple(1 if c > 0 else 0 for c in counts)
-    return CountVector(tuple(counts)), BinarySeries(package, series)
+    package: str, masks: Sequence[int], r: int
+) -> tuple[tuple[int, ...], BinarySeries]:
+    """Count the advisory masks covering each release, then binarize (count > 0)."""
+    if not masks:
+        raise ValueError(f"no advisory masks for {package!r}")
+    counts = tuple(map(sum, zip(*(bits(mask, r) for mask in masks))))
+    return counts, BinarySeries(package, tuple(int(c > 0) for c in counts))
 
 
 def build_corpus(
@@ -272,9 +209,10 @@ def build_corpus(
             )
             continue
         index = _boundary_index(history, strict)
-        affected: list[AffectedVector] = []
+        masks: list[int] = []
+        advisory_ids: list[str] = []
         for advisory in advisories:
-            rows: list[ConstraintVector] = []
+            mask: int | None = None
             for clause in advisory.clauses:
                 for constraint in clause.constraints:
                     if constraint.op == "!=":
@@ -288,9 +226,7 @@ def build_corpus(
                             )
                         )
                 try:
-                    rows.append(
-                        fill_clause(clause, history, strict=strict, _index=index)
-                    )
+                    filled = fill_clause(clause, history, strict=strict, _index=index)
                 except ClauseInvalidError as exc:
                     clause_drops.append(
                         AttritionRecord(
@@ -300,9 +236,9 @@ def build_corpus(
                             f"clause {clause.text()!r}: {exc}",
                         )
                     )
-            if rows:
-                affected.append(collapse(SpecMatrix(tuple(rows)), advisory.id))
-            else:
+                    continue
+                mask = filled if mask is None else mask | filled
+            if mask is None:
                 advisory_drops.append(
                     AttritionRecord(
                         package,
@@ -311,7 +247,10 @@ def build_corpus(
                         "every clause referenced versions missing from the history",
                     )
                 )
-        if not affected:
+            else:
+                masks.append(mask)
+                advisory_ids.append(advisory.id)
+        if not masks:
             package_drops.append(
                 AttritionRecord(
                     package,
@@ -321,12 +260,12 @@ def build_corpus(
                 )
             )
             continue
-        counts, series = aggregate(package, affected)
+        counts, series = aggregate(package, masks, len(history.releases))
         results.append(
             PackageResult(
                 package=package,
                 history_length=len(history.releases),
-                advisory_ids=tuple(v.advisory_id for v in affected),
+                advisory_ids=tuple(advisory_ids),
                 counts=counts,
                 series=series,
             )
@@ -351,7 +290,7 @@ def corpus_rows(corpus: Corpus) -> list[dict]:
                 "r": result.history_length,
                 "m": len(result.advisory_ids),
                 "w": "".join(str(v) for v in result.series.values),
-                "counts": list(result.counts.values),
+                "counts": list(result.counts),
             }
         )
     return rows

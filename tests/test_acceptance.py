@@ -9,8 +9,10 @@ verification, seeded recovery studies, and a byte-identical frozen
 pipeline regression against an independently computed document.
 """
 
+import functools
 import json
 import math
+import operator
 import random
 import time
 from pathlib import Path
@@ -29,7 +31,7 @@ from oracles import (
 from vulnseries import autologistic, cli, markov, vectorize
 from vulnseries.registry import order_history
 from vulnseries.safetydb import Constraint, SpecClause
-from vulnseries.vectorize import BinarySeries, SpecMatrix
+from vulnseries.vectorize import BinarySeries, bits
 from vulnseries.versions import compare, parse_version
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -49,22 +51,32 @@ def test_criterion_1_dual_route_agreement_on_random_cases():
     cases = 0
     for _ in range(1000):
         history = random_history(rng)
-        vectors = []
+        r = len(history)
+        advisories = []
+        masks = []
         for n in range(rng.randint(1, 3)):
             advisory = random_advisory(rng, history, advisory_id=f"ADV-{n}")
             rows = [
                 vectorize.fill_clause(clause, history)
                 for clause in advisory.clauses
             ]
-            built = vectorize.collapse(SpecMatrix(tuple(rows)), advisory.id)
-            assert built.values == direct_advisory_vector(advisory, history)
             for clause, row in zip(advisory.clauses, rows):
-                assert row.values == direct_clause_vector(clause, history)
-            vectors.append(built)
-        counts, series = vectorize.aggregate(history.package, vectors)
-        direct_count, direct_series = direct_counts([v.values for v in vectors])
-        assert counts.values == direct_count
+                assert bits(row, r) == direct_clause_vector(clause, history)
+            advisories.append(advisory)
+            masks.append(functools.reduce(operator.or_, rows))
+        direct_vectors = [direct_advisory_vector(a, history) for a in advisories]
+        assert [bits(mask, r) for mask in masks] == direct_vectors
+        direct_count, direct_series = direct_counts(direct_vectors)
+        counts, series = vectorize.aggregate(history.package, masks, r)
+        assert counts == direct_count
         assert series.values == direct_series
+        # The corpus builder takes its own route from clauses to series.
+        corpus = vectorize.build_corpus(
+            {history.package: tuple(advisories)}, {history.package: history}
+        )
+        (built,) = corpus.packages
+        assert built.counts == direct_count
+        assert built.series.values == direct_series
         cases += 1
     elapsed = time.perf_counter() - start
     assert cases == 1000
@@ -85,14 +97,14 @@ def test_criterion_2_worked_interval_example_is_bit_exact():
     right = vectorize.fill_constraint(
         Constraint("<=", parse_version("1.4.18")), history
     )
-    assert left.values == (0, 0, 0, 0, 1, 1, 1, 1, 1, 1)
-    assert right.values == (1, 1, 1, 1, 1, 1, 0, 0, 0, 0)
+    assert bits(left, 10) == (0, 0, 0, 0, 1, 1, 1, 1, 1, 1)
+    assert bits(right, 10) == (1, 1, 1, 1, 1, 1, 0, 0, 0, 0)
     clause = SpecClause(
         (Constraint(">=", parse_version("1.4")), Constraint("<=", parse_version("1.4.18")))
     )
-    combined = vectorize.fill_clause(clause, history)
-    assert combined.values == (0, 0, 0, 0, 1, 1, 0, 0, 0, 0)
-    assert combined.values == tuple(a & b for a, b in zip(left.values, right.values))
+    combined = bits(vectorize.fill_clause(clause, history), 10)
+    assert combined == (0, 0, 0, 0, 1, 1, 0, 0, 0, 0)
+    assert combined == tuple(a & b for a, b in zip(bits(left, 10), bits(right, 10)))
     ok("2/8 worked interval example: AND of the two printed vectors, bit-exact")
 
 

@@ -127,7 +127,7 @@ def test_empty_releases_map_means_not_found():
         client.fetch_history("hollow")
 
 
-@pytest.mark.parametrize("body", [b"not json", b'{"releases": 7}', b"[]"])
+@pytest.mark.parametrize("body", [b"not json", b'{"releases": 7}', b"[]", b"\x80 not text"])
 def test_malformed_payloads_raise_format_error(body):
     client = PyPIClient(transport=make_transport([(200, body)]))
     with pytest.raises(PayloadFormatError):
@@ -159,6 +159,35 @@ def test_offline_mode_uses_cache_or_fails(tmp_path):
         offline.fetch_history("never-cached")
 
 
+def test_bad_payload_is_not_cached(tmp_path):
+    bad = PyPIClient(transport=make_transport([(200, b"<html>")]), cache_dir=tmp_path)
+    with pytest.raises(PayloadFormatError):
+        bad.fetch_history("flask")
+    assert not (tmp_path / "flask.json").exists()
+    good = PyPIClient(
+        transport=make_transport([(200, payload({"1.0": []}))]), cache_dir=tmp_path
+    )
+    history, _ = good.fetch_history("flask")
+    assert len(history) == 1
+
+
+def test_unparsable_cache_entry_is_refetched_online_only(tmp_path):
+    (tmp_path / "flask.json").write_bytes(b"<html>")
+
+    def explode(url):
+        raise AssertionError("offline client must not touch the network")
+
+    offline = PyPIClient(transport=explode, cache_dir=tmp_path, offline=True)
+    with pytest.raises(PayloadFormatError):
+        offline.fetch_history("flask")
+    transport = make_transport([(200, payload({"1.0": []}))])
+    online = PyPIClient(transport=transport, cache_dir=tmp_path)
+    history, _ = online.fetch_history("flask")
+    assert len(history) == 1
+    assert len(transport.calls) == 1
+    assert json.loads((tmp_path / "flask.json").read_bytes())["releases"] == {"1.0": []}
+
+
 def test_cache_dir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("VULNSERIES_CACHE", str(tmp_path))
     client = PyPIClient(transport=make_transport([(200, payload({"1.0": []}))]))
@@ -184,6 +213,20 @@ def test_fetch_many_collects_failures_without_aborting():
     assert set(histories) == {"good"}
     reasons = {f.package: f.reason for f in failures}
     assert reasons == {"gone": "not-found", "broken": "bad-payload"}
+
+
+def test_fetch_many_names_the_package_of_a_transport_failure():
+    def transport(url):
+        if "/flaky/" in url:
+            raise TransportError("connection reset")
+        return 200, payload({"1.0": []})
+
+    client = PyPIClient(transport=transport, sleep=lambda s: None, workers=2)
+    histories, _, failures = client.fetch_many(["good", "flaky"])
+    assert set(histories) == {"good"}
+    assert [(f.package, f.reason, f.detail) for f in failures] == [
+        ("flaky", "transport", "connection reset")
+    ]
 
 
 def test_snapshot_round_trip(tmp_path):

@@ -1,6 +1,8 @@
-"""Positional constraint fills, clause logic, and corpus assembly."""
+"""Release-mask constraint fills, clause logic, and corpus assembly."""
 
+import functools
 import json
+import operator
 import random
 
 import pytest
@@ -10,10 +12,9 @@ from vulnseries.errors import ClauseInvalidError
 from vulnseries.registry import order_history
 from vulnseries.safetydb import load_database, parse_spec
 from vulnseries.vectorize import (
-    SpecMatrix,
     aggregate,
+    bits,
     build_corpus,
-    collapse,
     corpus_rows,
     fill_clause,
     fill_constraint,
@@ -33,7 +34,14 @@ TEN = history_of(
 
 def fill_one(spec_text, history=TEN):
     (constraint,) = parse_spec(spec_text).constraints
-    return fill_constraint(constraint, history).values
+    return bits(fill_constraint(constraint, history), len(history))
+
+
+def advisory_mask(advisory, history):
+    """OR the clause masks of an advisory whose clauses all fill."""
+    return functools.reduce(
+        operator.or_, (fill_clause(c, history) for c in advisory.clauses)
+    )
 
 
 def test_upper_bound_marks_prefix_before_boundary():
@@ -72,7 +80,7 @@ def test_strict_mode_matches_raw_strings_only():
     with pytest.raises(ClauseInvalidError):
         fill_constraint(constraint, TEN, strict=True)
     (constraint,) = parse_spec("<1.4.18").constraints
-    assert fill_constraint(constraint, TEN, strict=True).values == fill_one("<1.4.18")
+    assert bits(fill_constraint(constraint, TEN, strict=True), 10) == fill_one("<1.4.18")
 
 
 def test_clause_intersects_left_and_right_bounds():
@@ -80,42 +88,38 @@ def test_clause_intersects_left_and_right_bounds():
     right = fill_one("<1.5")  # [1,1,1,1,1,1,0,0,0,0]
     assert left == (0, 0, 0, 0, 1, 1, 1, 1, 1, 1)
     assert right == (1, 1, 1, 1, 1, 1, 0, 0, 0, 0)
-    combined = fill_clause(parse_spec(">=1.4,<1.5"), TEN)
-    assert combined.values == tuple(a & b for a, b in zip(left, right))
-    assert combined.values == (0, 0, 0, 0, 1, 1, 0, 0, 0, 0)
+    combined = bits(fill_clause(parse_spec(">=1.4,<1.5"), TEN), 10)
+    assert combined == tuple(a & b for a, b in zip(left, right))
+    assert combined == (0, 0, 0, 0, 1, 1, 0, 0, 0, 0)
 
 
 def test_contradictory_clause_fills_nothing():
     clause = parse_spec(">=1.5,<1.5")
-    assert fill_clause(clause, TEN).values == (0,) * 10
+    assert fill_clause(clause, TEN) == 0
 
 
-def test_collapse_is_positionwise_or():
-    matrix = SpecMatrix(
-        rows=(
-            fill_clause(parse_spec("<1.2"), TEN),
-            fill_clause(parse_spec("==1.6"), TEN),
-        )
-    )
-    assert collapse(matrix, "ADV-1").values == (1, 1, 0, 0, 0, 0, 0, 1, 0, 0)
+def test_bits_expands_release_zero_first():
+    assert bits(0b1011, 6) == (1, 1, 0, 1, 0, 0)
+    assert bits(0, 3) == (0, 0, 0)
+    assert bits(0, 0) == ()
 
 
-def test_collapse_rejects_empty_and_ragged_input():
+def test_advisory_mask_is_the_union_of_its_clauses():
+    doc = {"pkg": [{"id": "ADV-1", "specs": ["<1.2", "==1.6"]}]}
+    corpus = corpus_from(doc, {"pkg": TEN})
+    assert only_package(corpus).counts == (1, 1, 0, 0, 0, 0, 0, 1, 0, 0)
+
+
+def test_aggregate_rejects_an_empty_mask_list():
     with pytest.raises(ValueError):
-        collapse(SpecMatrix(rows=()))
-    short = fill_clause(parse_spec("<1.2"), history_of(["1.0", "1.1", "1.2"]))
-    full = fill_clause(parse_spec("<1.2"), TEN)
-    with pytest.raises(ValueError):
-        collapse(SpecMatrix(rows=(short, full)))
+        aggregate("pkg", [], 10)
 
 
 def test_aggregate_sums_then_binarizes():
-    matrix_a = SpecMatrix(rows=(fill_clause(parse_spec("<1.2"), TEN),))
-    matrix_b = SpecMatrix(rows=(fill_clause(parse_spec("<1.1"), TEN),))
-    counts, series = aggregate(
-        "pkg", [collapse(matrix_a, "A"), collapse(matrix_b, "B")]
-    )
-    assert counts.values == (2, 1, 0, 0, 0, 0, 0, 0, 0, 0)
+    mask_a = fill_clause(parse_spec("<1.2"), TEN)
+    mask_b = fill_clause(parse_spec("<1.1"), TEN)
+    counts, series = aggregate("pkg", [mask_a, mask_b], 10)
+    assert counts == (2, 1, 0, 0, 0, 0, 0, 0, 0, 0)
     assert series.values == (1, 1, 0, 0, 0, 0, 0, 0, 0, 0)
     assert series.package == "pkg"
 
@@ -217,17 +221,16 @@ def test_dual_route_agreement_on_random_cases():
             oracles.random_advisory(rng, history, f"ADV-{i}")
             for i in range(rng.randint(1, 4))
         ]
+        r = len(history)
         direct_vectors = []
-        pipeline_vectors = []
+        pipeline_masks = []
         for advisory in advisories:
-            rows = tuple(fill_clause(c, history) for c in advisory.clauses)
-            pipeline = collapse(SpecMatrix(rows=rows), advisory.id)
-            pipeline_vectors.append(pipeline)
+            pipeline_masks.append(advisory_mask(advisory, history))
             direct_vectors.append(oracles.direct_advisory_vector(advisory, history))
-            assert tuple(pipeline.values) == direct_vectors[-1]
-        counts, series = aggregate(history.package, pipeline_vectors)
+            assert bits(pipeline_masks[-1], r) == direct_vectors[-1]
+        counts, series = aggregate(history.package, pipeline_masks, r)
         direct_count, direct_binary = oracles.direct_counts(direct_vectors)
-        assert counts.values == direct_count
+        assert counts == direct_count
         assert series.values == direct_binary
 
 
@@ -235,16 +238,10 @@ def test_advisory_order_does_not_change_the_series():
     rng = random.Random(99)
     history = oracles.random_history(rng, min_r=8)
     advisories = [oracles.random_advisory(rng, history, f"A{i}") for i in range(4)]
-    vectors = [
-        collapse(
-            SpecMatrix(rows=tuple(fill_clause(c, history) for c in adv.clauses)),
-            adv.id,
-        )
-        for adv in advisories
-    ]
-    forward = aggregate("pkg", vectors)
-    backward = aggregate("pkg", list(reversed(vectors)))
-    assert forward[0].values == backward[0].values
+    masks = [advisory_mask(adv, history) for adv in advisories]
+    forward = aggregate("pkg", masks, len(history))
+    backward = aggregate("pkg", list(reversed(masks)), len(history))
+    assert forward[0] == backward[0]
     assert forward[1].values == backward[1].values
 
 
@@ -252,15 +249,9 @@ def test_adding_an_advisory_never_lowers_counts():
     rng = random.Random(5)
     history = oracles.random_history(rng, min_r=8)
     advisories = [oracles.random_advisory(rng, history, f"A{i}") for i in range(3)]
-    vectors = [
-        collapse(
-            SpecMatrix(rows=tuple(fill_clause(c, history) for c in adv.clauses)),
-            adv.id,
-        )
-        for adv in advisories
-    ]
-    small, _ = aggregate("pkg", vectors[:2])
-    grown, grown_series = aggregate("pkg", vectors)
-    assert all(g >= s for g, s in zip(grown.values, small.values))
-    small_series = tuple(int(c > 0) for c in small.values)
+    masks = [advisory_mask(adv, history) for adv in advisories]
+    small, _ = aggregate("pkg", masks[:2], len(history))
+    grown, grown_series = aggregate("pkg", masks, len(history))
+    assert all(g >= s for g, s in zip(grown, small))
+    small_series = tuple(int(c > 0) for c in small)
     assert all(g >= s for g, s in zip(grown_series.values, small_series))
