@@ -2,12 +2,15 @@
 
 A series w is modelled by logistic regression of each value on its own
 previous values: the order-l model regresses w_i on w_{i-1} ... w_{i-l}
-plus a constant.  Fitting maximizes the exact likelihood by iteratively
-reweighted least squares with step halving, so the objective never
-decreases between iterations.  Perfect separation is detected and either
-reported as an error or, when the ridge fallback is enabled, handled by
-a small quadratic penalty (the stored log-likelihood stays unpenalized;
-AIC is then approximate and the fit is flagged).
+plus a constant.  A design is a numpy lag matrix whose row i is
+[1, w_{i-1}, ..., w_{i-l}]; one matrix at the largest candidate order
+serves every smaller order as its leading columns.  Fitting maximizes
+the exact likelihood by iteratively reweighted least squares with step
+halving, so the objective never decreases between iterations.  Perfect
+separation is detected and either reported as an error or, when the
+ridge fallback is enabled, handled by a small quadratic penalty (the
+stored log-likelihood stays unpenalized; AIC is then approximate and
+the fit is flagged).
 
 Model order is chosen per package as the AIC minimizer over orders
 1 ... floor(0.1 * r).  The forecast experiment fits on a training prefix
@@ -20,10 +23,11 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ForecastError,
@@ -70,34 +74,34 @@ RIDGE_LAMBDA = 1e-4
 PARSIMONY_MARGIN = 4.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LagDesign:
-    """Responses aligned with their lagged regressors.
+    """Responses ``y`` aligned with their lag matrix ``X``.
 
-    Row i of ``regressors`` holds the previous values of the series,
-    most recent first, for response i.  An order-0 design (intercept
-    only) is allowed for diagnostics even though the builder requires
-    at least one lag.
+    Row i of ``X`` (shape ``n x (order + 1)``) is the constant 1, then
+    the previous values of the series, most recent first, for response
+    ``y[i]``.  An order-0 design (the constant column alone) is allowed
+    for diagnostics even though the builder requires at least one lag.
     """
 
-    responses: tuple[int, ...]
-    regressors: tuple[tuple[int, ...], ...]
-    order: int
+    X: np.ndarray
+    y: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.order < 0:
-            raise ValueError("order must be non-negative")
-        if len(self.responses) < 1:
+        object.__setattr__(self, "X", np.asarray(self.X, dtype=float))
+        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
+        if len(self.y) < 1:
             raise ValueError("design needs at least one response")
-        if len(self.regressors) != len(self.responses):
-            raise ValueError("regressor rows must match responses")
-        for row in self.regressors:
-            if len(row) != self.order:
-                raise ValueError("regressor row width must equal the order")
+        if self.X.ndim != 2 or len(self.X) != len(self.y):
+            raise ValueError("design rows must match responses")
+
+    @property
+    def order(self) -> int:
+        return self.X.shape[1] - 1
 
     @property
     def n(self) -> int:
-        return len(self.responses)
+        return len(self.y)
 
 
 @dataclass(frozen=True)
@@ -193,6 +197,14 @@ class ExperimentResult:
     orders: Mapping[str, OrderSelection]
 
 
+def _lag_design(values: Sequence[int], order: int, start: int) -> LagDesign:
+    """Order-``order`` design for the responses ``values[start:]``; start >= order."""
+    w = np.asarray(values, dtype=float)
+    X = np.ones((len(w) - start, order + 1))
+    X[:, 1:] = sliding_window_view(w[:-1], order)[start - order :, ::-1]
+    return LagDesign(X, w[start:])
+
+
 def build_lag_design(w: BinarySeries, order: int) -> LagDesign:
     """Align each value with its previous ``order`` values."""
     if order < 1:
@@ -202,19 +214,7 @@ def build_lag_design(w: BinarySeries, order: int) -> LagDesign:
         raise InsufficientDataError(
             f"{w.package!r}: series length {r} leaves no responses for order {order}"
         )
-    responses = tuple(w.values[order:])
-    regressors = tuple(
-        tuple(w.values[i - k] for k in range(1, order + 1)) for i in range(order, r)
-    )
-    return LagDesign(responses, regressors, order)
-
-
-def _design_matrix(design: LagDesign) -> tuple[np.ndarray, np.ndarray]:
-    X = np.ones((design.n, design.order + 1))
-    if design.order:
-        X[:, 1:] = np.asarray(design.regressors, dtype=float)
-    y = np.asarray(design.responses, dtype=float)
-    return X, y
+    return _lag_design(w.values, order, order)
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
@@ -226,18 +226,25 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     return out
 
 
+def _loglik(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
+    eta = X @ beta
+    return float(y @ eta - np.logaddexp(0.0, eta).sum())
+
+
+def _gradient(X: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Log-likelihood gradient given the fitted probabilities ``p``."""
+    return X.T @ (y - p)
+
+
 def log_likelihood(design: LagDesign, beta: Sequence[float]) -> float:
     """Exact Bernoulli log-likelihood of the coefficients on the design."""
-    X, y = _design_matrix(design)
-    eta = X @ np.asarray(beta, dtype=float)
-    return float(y @ eta - np.logaddexp(0.0, eta).sum())
+    return _loglik(design.X, design.y, np.asarray(beta, dtype=float))
 
 
 def score(design: LagDesign, beta: Sequence[float]) -> tuple[float, ...]:
     """Analytic gradient of the log-likelihood at ``beta``."""
-    X, y = _design_matrix(design)
-    eta = X @ np.asarray(beta, dtype=float)
-    return tuple(X.T @ (y - _sigmoid(eta)))
+    eta = design.X @ np.asarray(beta, dtype=float)
+    return tuple(_gradient(design.X, design.y, _sigmoid(eta)))
 
 
 class _SeparationSignal(Exception):
@@ -248,12 +255,12 @@ def _irls(
     X: np.ndarray,
     y: np.ndarray,
     lam: float,
-    keep_trace: bool,
 ) -> tuple[np.ndarray, float, bool, int, tuple[float, ...]]:
     """Maximize loglik − lam·‖beta‖² by damped Newton steps.
 
-    Returns (beta, objective, converged, iterations, trace).  With
-    lam = 0 two conditions raise :class:`_SeparationSignal`: a
+    Returns (beta, objective, converged, iterations, trace); the trace
+    holds the objective at the start and after every accepted step.
+    With lam = 0 two conditions raise :class:`_SeparationSignal`: a
     coefficient running past the separation bound while the likelihood
     still improves (complete separation inflates coefficients fast), and
     a converged solution whose likelihood still strictly increases when
@@ -265,18 +272,18 @@ def _irls(
     beta = np.zeros(X.shape[1])
 
     def objective(b: np.ndarray) -> float:
-        eta = X @ b
-        ll = float(y @ eta - np.logaddexp(0.0, eta).sum())
-        return ll - lam * float(b @ b)
+        return _loglik(X, y, b) - lam * float(b @ b)
+
+    def slope(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        p = _sigmoid(X @ b)
+        return p, _gradient(X, y, p) - 2.0 * lam * b
 
     current = objective(beta)
-    trace = [current] if keep_trace else []
+    trace = [current]
+    p, gradient = slope(beta)
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
-        eta = X @ beta
-        p = _sigmoid(eta)
-        gradient = X.T @ (y - p) - 2.0 * lam * beta
         weights = p * (1.0 - p)
         hessian = (X * weights[:, None]).T @ X + 2.0 * lam * np.eye(X.shape[1])
         step = np.linalg.solve(hessian, gradient)
@@ -297,10 +304,8 @@ def _irls(
             )
         improvement = value - current
         beta, current = candidate, value
-        if keep_trace:
-            trace.append(current)
-        eta = X @ beta
-        gradient = X.T @ (y - _sigmoid(eta)) - 2.0 * lam * beta
+        trace.append(current)
+        p, gradient = slope(beta)
         if improvement < LOGLIK_TOL and np.max(np.abs(gradient)) < GRADIENT_TOL:
             converged = True
             break
@@ -322,7 +327,6 @@ def fit(
     design: LagDesign,
     *,
     ridge_fallback: bool = False,
-    keep_trace: bool = False,
 ) -> ModelFit:
     """Maximum-likelihood fit of the order-l autologistic coefficients.
 
@@ -335,7 +339,7 @@ def fit(
         raise InsufficientDataError(
             f"{design.n} responses cannot identify {parameters} coefficients"
         )
-    X, y = _design_matrix(design)
+    X, y = design.X, design.y
     constant = bool(np.all(y == y[0]))
     separation = False
     ridge = False
@@ -345,7 +349,7 @@ def fit(
         separation, ridge = True, True
     if not ridge:
         try:
-            beta, value, converged, iterations, trace = _irls(X, y, 0.0, keep_trace)
+            beta, value, converged, iterations, trace = _irls(X, y, 0.0)
         except _SeparationSignal as signal:
             if not ridge_fallback:
                 raise SeparationError(str(signal)) from None
@@ -358,15 +362,14 @@ def fit(
             ridge = True
     if ridge:
         try:
-            beta, _, converged, iterations, trace = _irls(X, y, RIDGE_LAMBDA, keep_trace)
+            beta, _, converged, iterations, trace = _irls(X, y, RIDGE_LAMBDA)
         except np.linalg.LinAlgError:  # pragma: no cover - penalty regularizes
             raise SingularModelError("penalized system is singular") from None
-        value = float(y @ (X @ beta) - np.logaddexp(0.0, X @ beta).sum())
-    loglik = value
+        value = _loglik(X, y, beta)
     return ModelFit(
         beta=tuple(float(b) for b in beta),
-        loglik=loglik,
-        aic=2.0 * parameters - 2.0 * loglik,
+        loglik=value,
+        aic=2.0 * parameters - 2.0 * value,
         order=design.order,
         converged=converged,
         separation_detected=separation,
@@ -376,36 +379,24 @@ def fit(
     )
 
 
-def predict(model: ModelFit, lags: Sequence[int]) -> float:
-    """Conditional probability of a 1 given the lagged values."""
-    if len(lags) != model.order:
-        raise ValueError(f"expected {model.order} lags, got {len(lags)}")
-    eta = model.beta[0] + sum(b * x for b, x in zip(model.beta[1:], lags))
+def _logistic(eta: float) -> float:
     if eta >= 0:
         return 1.0 / (1.0 + math.exp(-eta))
     expeta = math.exp(eta)
     return expeta / (1.0 + expeta)
 
 
+def predict(model: ModelFit, lags: Sequence[int]) -> float:
+    """Conditional probability of a 1 given the lagged values."""
+    if len(lags) != model.order:
+        raise ValueError(f"expected {model.order} lags, got {len(lags)}")
+    eta = model.beta[0] + sum(b * x for b, x in zip(model.beta[1:], lags))
+    return _logistic(eta)
+
+
 def max_order(r: int, fraction: float = 0.1) -> int:
     """Largest candidate order for a series of length r."""
     return int(math.floor(fraction * r))
-
-
-def _comparison_design(values: Sequence[int], order: int, window: int) -> LagDesign:
-    """Lag design whose responses start at index ``window``.
-
-    Conditioning every candidate order on the same initial window keeps
-    their likelihoods over the same responses, so AICs compare like with
-    like.  Per-order windows would hand longer lags fewer responses and
-    shift their log-likelihoods mechanically, swamping the AIC penalty.
-    """
-    responses = tuple(values[window:])
-    regressors = tuple(
-        tuple(values[i - k] for k in range(1, order + 1))
-        for i in range(window, len(values))
-    )
-    return LagDesign(responses=responses, regressors=regressors, order=order)
 
 
 def select_order(
@@ -436,20 +427,21 @@ def select_order(
         raise OrderSelectionError(
             f"{w.package!r}: {len(w.values)} releases allow no autoregressive order"
         )
-    aics: dict[int, float] = {}
     skipped: dict[int, str] = {}
     candidates: dict[int, ModelFit] = {}
+    # Conditioning every order on the same initial window, the first cap
+    # values, keeps their likelihoods over the same responses, so AICs
+    # compare like with like.  Per-order windows would hand longer lags
+    # fewer responses and shift their log-likelihoods mechanically,
+    # swamping the AIC penalty.  Order l is the first l + 1 columns.
+    shared = _lag_design(w.values, cap, cap)
     for order in range(1, cap + 1):
+        design = LagDesign(np.ascontiguousarray(shared.X[:, : order + 1]), shared.y)
         try:
-            candidate = fit(
-                _comparison_design(w.values, order, cap),
-                ridge_fallback=ridge_fallback,
-            )
+            candidates[order] = fit(design, ridge_fallback=ridge_fallback)
         except (SeparationError, SingularModelError, InsufficientDataError) as exc:
             skipped[order] = str(exc)
-            continue
-        aics[order] = candidate.aic
-        candidates[order] = candidate
+    aics = {order: candidate.aic for order, candidate in candidates.items()}
     if not aics:
         raise OrderSelectionError(
             f"{w.package!r}: no order in 1..{cap} produced a usable fit"
@@ -541,20 +533,17 @@ def forecast(
     """
     verdict = eligibility(w, t, order, min_releases=min_releases, min_std=min_std)
     if not verdict.eligible:
-        raise NotEligibleError(f"{w.package!r}: {verdict.reason}")
+        raise NotEligibleError(f"{w.package!r}: {verdict.reason}", verdict=verdict)
     r = len(w.values)
     fit_source = w if full_sample else BinarySeries(w.package, w.values[: r - t])
     try:
         model = fit(build_lag_design(fit_source, order), ridge_fallback=ridge_fallback)
     except (SeparationError, SingularModelError, InsufficientDataError) as exc:
         raise ForecastError(f"{w.package!r}: training fit failed: {exc}") from exc
-    probs = []
-    actuals = []
-    for i in range(r - t, r):
-        lags = [w.values[i - k] for k in range(1, order + 1)]
-        probs.append(predict(model, lags))
-        actuals.append(w.values[i])
-    abs_errors = tuple(abs(a - p) for a, p in zip(actuals, probs))
+    test = _lag_design(w.values, order, r - t)
+    p = _sigmoid(test.X @ np.asarray(model.beta))
+    probs, actuals = p.tolist(), test.y.tolist()
+    abs_errors = tuple(np.abs(test.y - p).tolist())
     flags = []
     if model.ridge:
         flags.append("ridge")
@@ -639,15 +628,6 @@ def run_experiment(
             continue
         orders[w.package] = selection
         for t in horizons:
-            verdict = eligibility(
-                w, t, selection.order, min_releases=min_releases, min_std=min_std
-            )
-            if not verdict.eligible:
-                detail = f"std={verdict.std:.4f}" if verdict.std is not None else ""
-                exclusions.append(
-                    ExclusionRecord(w.package, t, verdict.reason or "", detail)
-                )
-                continue
             try:
                 reports.append(
                     forecast(
@@ -660,6 +640,12 @@ def run_experiment(
                         full_sample=full_sample,
                         tie_value=tie_value,
                     )
+                )
+            except NotEligibleError as exc:
+                verdict = exc.verdict
+                detail = f"std={verdict.std:.4f}" if verdict.std is not None else ""
+                exclusions.append(
+                    ExclusionRecord(w.package, t, verdict.reason or "", detail)
                 )
             except ForecastError as exc:
                 exclusions.append(
@@ -695,12 +681,7 @@ def simulate(
         eta = beta[0]
         for k in range(1, order + 1):
             eta += beta[k] * past[-k]
-        if eta >= 0:
-            p = 1.0 / (1.0 + math.exp(-eta))
-        else:
-            expeta = math.exp(eta)
-            p = expeta / (1.0 + expeta)
-        draw = 1 if rng.random() < p else 0
+        draw = 1 if rng.random() < _logistic(eta) else 0
         values.append(draw)
         past.append(draw)
     return values

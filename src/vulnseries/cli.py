@@ -73,7 +73,6 @@ class RunConfig:
     alpha: float = 0.0
     strict: bool = False
     output_format: str = "json"
-    seed: int | None = None
     timestamp: bool = True
     workers: int = 4
     out: str | None = None
@@ -394,7 +393,6 @@ def cmd_forecast(config: RunConfig, transport=None) -> int:
                 "full_sample": config.full_sample,
                 "tie_value": config.tie_value,
                 "strict": config.strict,
-                "seed": config.seed,
             },
             "reports": report_rows,
             "abs_errors": {
@@ -428,7 +426,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--packages", help="comma-separated package filter")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", help="primary output file (default stdout)")
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(
         "--no-timestamp",
         action="store_true",
@@ -516,7 +513,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
             alpha=getattr(args, "alpha", 0.0),
             strict=getattr(args, "strict", False),
             output_format=getattr(args, "format", "json"),
-            seed=getattr(args, "seed", None),
             timestamp=not getattr(args, "no_timestamp", False),
             workers=getattr(args, "workers", 4),
             out=getattr(args, "out", None),

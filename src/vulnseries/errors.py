@@ -91,7 +91,11 @@ class OrderSelectionError(EstimationError):
 
 
 class NotEligibleError(VulnseriesError):
-    """The series fails the forecast experiment's eligibility filters."""
+    """The series fails the forecast eligibility filters; ``verdict`` says how."""
+
+    def __init__(self, message: str, *, verdict):
+        super().__init__(message)
+        self.verdict = verdict
 
 
 class ForecastError(VulnseriesError):

@@ -340,8 +340,9 @@ def save_snapshot(path: str | os.PathLike, histories: Mapping[str, ReleaseHistor
 def load_snapshot(path: str | os.PathLike) -> dict[str, ReleaseHistory]:
     """Read a snapshot back into ordered histories.
 
-    The stored order is trusted as-is; versions are re-parsed but not
-    re-sorted, so a snapshot round-trips exactly.
+    Versions are re-parsed but not re-sorted, so a snapshot round-trips
+    exactly; a history whose stored order is not strictly increasing is
+    a :class:`SnapshotSchemaError`.
     """
     target = Path(path)
     if not target.is_file():
@@ -367,6 +368,11 @@ def load_snapshot(path: str | os.PathLike) -> dict[str, ReleaseHistory]:
             if not isinstance(row, dict) or "version" not in row:
                 raise SnapshotSchemaError(f"snapshot row for {name!r} is malformed")
             raw = row["version"]
-            releases.append(Release(parse_version(raw), raw, row.get("upload_time")))
+            release = Release(parse_version(raw), raw, row.get("upload_time"))
+            if releases and releases[-1].version.sort_key >= release.version.sort_key:
+                raise SnapshotSchemaError(
+                    f"snapshot history for {name!r}: {releases[-1].raw!r} is not before {raw!r}"
+                )
+            releases.append(release)
         histories[name] = ReleaseHistory(name, tuple(releases))
     return histories

@@ -8,7 +8,9 @@ canonical version and lexicographically among themselves, so a release
 history never fails to order.
 
 Trailing zero release segments are insignificant: ``1.0`` compares equal
-to ``1.0.0``, and both canonicalize to the same string.
+to ``1.0.0``, and both canonicalize to the same string.  Local labels
+order segment by segment as in PEP 440: numeric segments as integers,
+after any alphanumeric segment, and a label before its extensions.
 """
 
 from __future__ import annotations
@@ -135,7 +137,11 @@ def _sort_key(v: Version) -> tuple:
         pre_key,
         post_key,
         dev_key,
-        v.local or "",
+        # "01" and "1" differ only in the text after the integer, so equal
+        # keys still mean equal canonical strings.
+        tuple((1, int(s), s) if s.isdigit() else (0, s) for s in v.local.split("."))
+        if v.local
+        else (),
     )
 
 

@@ -22,14 +22,15 @@ import tempfile
 from datetime import datetime, timedelta
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+TESTS = Path(__file__).resolve().parent
+sys.path[:0] = [str(TESTS), str(TESTS.parent / "src")]
 
 import reference_impl
 from vulnseries import autologistic, cli, safetydb, vectorize
 from vulnseries.registry import load_snapshot, order_history, save_snapshot
 from vulnseries.vectorize import BinarySeries
 
-FIXTURES = Path(__file__).resolve().parent / "fixtures"
+FIXTURES = TESTS / "fixtures"
 HORIZONS = (5, 10)
 EDGE_MARGIN = 0.05
 

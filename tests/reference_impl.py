@@ -231,7 +231,6 @@ def build_document(db_path, snapshot_path) -> bytes:
             "full_sample": False,
             "tie_value": TIE_VALUE,
             "strict": False,
-            "seed": None,
         },
         "reports": [
             {k: v for k, v in report.items() if k != "abs_errors"}

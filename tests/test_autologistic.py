@@ -44,15 +44,15 @@ def series(values, package="pkg"):
 
 def test_first_order_design_alignment():
     design = build_lag_design(series([0, 1, 1, 0]), 1)
-    assert design.responses == (1, 1, 0)
-    assert design.regressors == ((0,), (1,), (1,))
+    assert design.y.tolist() == [1, 1, 0]
+    assert design.X.tolist() == [[1, 0], [1, 1], [1, 1]]
 
 
 def test_second_order_design_alignment():
     design = build_lag_design(series([0, 1, 1, 0]), 2)
-    assert design.responses == (1, 0)
-    # most recent lag first: row for w[2] is (w[1], w[0])
-    assert design.regressors == ((1, 0), (1, 1))
+    assert design.y.tolist() == [1, 0]
+    # constant, then most recent lag first: row for w[2] is (1, w[1], w[0])
+    assert design.X.tolist() == [[1, 1, 0], [1, 1, 1]]
 
 
 def test_order_must_leave_responses():
@@ -64,7 +64,9 @@ def test_order_must_leave_responses():
 
 def test_design_validation_rejects_ragged_rows():
     with pytest.raises(ValueError):
-        LagDesign(responses=(1, 0), regressors=((1,), (0, 1)), order=1)
+        LagDesign(X=[[1, 1], [1, 0, 1]], y=[1, 0])
+    with pytest.raises(ValueError):
+        LagDesign(X=np.ones((3, 2)), y=[1, 0])
 
 
 # --- prediction and likelihood ------------------------------------------
@@ -88,8 +90,8 @@ def test_log_likelihood_matches_direct_formula():
     design = build_lag_design(series([0, 1, 1, 0, 1, 0, 1, 1]), 1)
     beta = (0.3, -0.7)
     manual = 0.0
-    for y, row in zip(design.responses, design.regressors):
-        eta = beta[0] + beta[1] * row[0]
+    for y, row in zip(design.y, design.X):
+        eta = beta[0] + beta[1] * row[1]
         p = 1.0 / (1.0 + math.exp(-eta))
         manual += y * math.log(p) + (1 - y) * math.log(1.0 - p)
     assert log_likelihood(design, beta) == pytest.approx(manual, abs=1e-12)
@@ -100,7 +102,7 @@ def test_log_likelihood_matches_direct_formula():
 
 def test_intercept_only_fit_recovers_the_logit_of_the_mean():
     responses = (1, 1, 1, 0, 1, 0, 1, 1, 0, 1)
-    design = LagDesign(responses=responses, regressors=((),) * 10, order=0)
+    design = LagDesign(X=np.ones((10, 1)), y=responses)
     model = fit(design)
     mean = sum(responses) / len(responses)
     assert model.beta[0] == pytest.approx(math.log(mean / (1 - mean)), abs=1e-8)
@@ -122,7 +124,8 @@ def test_fit_agrees_with_independent_optimizer():
         values = simulate((-0.8, 1.2, 0.4)[: order + 1], 150, rng)
         design = build_lag_design(series(values), order)
         model = fit(design)
-        ref_beta, ref_loglik = oracles.reference_mle(design.responses, design.regressors)
+        lags = tuple(tuple(row[1:]) for row in design.X.tolist())
+        ref_beta, ref_loglik = oracles.reference_mle(tuple(design.y), lags)
         assert model.loglik == pytest.approx(ref_loglik, abs=1e-7)
         assert np.allclose(model.beta, ref_beta, atol=1e-5)
 
@@ -149,7 +152,7 @@ def test_aic_identity_holds_on_every_fit():
 def test_objective_trace_is_monotone():
     rng = random.Random(31)
     values = simulate((-0.5, 1.5), 100, rng)
-    model = fit(build_lag_design(series(values), 1), keep_trace=True)
+    model = fit(build_lag_design(series(values), 1))
     trace = model.trace
     assert len(trace) >= 2
     assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
@@ -197,7 +200,7 @@ def test_ridge_fallback_tames_separation(values):
 
 
 def test_short_design_is_insufficient():
-    design = LagDesign(responses=(1,), regressors=((0,),), order=1)
+    design = LagDesign(X=[[1, 0]], y=[1])
     with pytest.raises(InsufficientDataError):
         fit(design)
 

@@ -124,6 +124,12 @@ def test_zero_horizon_is_a_usage_error():
     assert cli.main(["forecast", "--db", DB, "--snapshot", SNAPSHOT, "--t", "0"]) == 1
 
 
+def test_seed_is_not_an_option(capsys):
+    argv = ["forecast", "--db", DB, "--snapshot", SNAPSHOT, "--seed", "9"]
+    assert cli.main(argv) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
 # -- build -----------------------------------------------------------------
 
 
@@ -361,7 +367,6 @@ def test_forecast_meta_echoes_the_flags(tmp_path):
             "--ridge",
             "--full-sample",
             "--tie", "0",
-            "--seed", "9",
         ],
     )
     assert doc["meta"] == {
@@ -375,7 +380,6 @@ def test_forecast_meta_echoes_the_flags(tmp_path):
         "full_sample": True,
         "tie_value": 0,
         "strict": False,
-        "seed": 9,
     }
     assert {rep["t"] for rep in doc["reports"]} == {5}
 

@@ -271,3 +271,13 @@ def test_corrupt_snapshots_raise_schema_error(tmp_path, doc):
     path.write_text(doc, encoding="utf-8")
     with pytest.raises(SnapshotSchemaError):
         load_snapshot(path)
+
+
+def test_snapshot_out_of_version_order_is_a_schema_error(tmp_path):
+    rows = [{"version": v, "upload_time": None} for v in ("2.0", "1.0", "1.0.0")]
+    path = tmp_path / "snap.json"
+    path.write_text(
+        json.dumps({"schema_version": 1, "histories": {"pkg": rows}}), encoding="utf-8"
+    )
+    with pytest.raises(SnapshotSchemaError, match=r"'pkg'.*'2\.0' is not before '1\.0'"):
+        load_snapshot(path)

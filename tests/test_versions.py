@@ -38,6 +38,9 @@ def test_pre_release_with_dotted_number():
         ("1.0.dev1", "1.0a1"),  # dev precedes even the alphas
         ("1.0", "1.0.post1"),
         ("1.0", "1.0+local"),
+        ("1.0+9", "1.0+10"),  # numeric local segments compare as integers
+        ("1.0+abc", "1.0+5"),  # numeric after alphanumeric
+        ("1.0+ubuntu", "1.0+ubuntu.1"),  # a label before its extensions
         ("2.0", "1!1.0"),  # epoch dominates
         ("0.9.9", "1.0"),
         ("not-a-version", "0.0.1"),  # legacy sorts before canonical
