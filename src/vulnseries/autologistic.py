@@ -418,14 +418,18 @@ def select_order(
     which uses every response available at that order.
 
     Orders whose fit fails are skipped with a reason; no candidate
-    fitting at all is a selection error.
+    fitting at all, or a cap that leaves no response to fit, is a
+    selection error.
     """
-    if parsimony_margin < 0:
+    if not parsimony_margin >= 0:
         raise ValueError("parsimony_margin must be non-negative")
-    cap = max_order(len(w.values), max_order_fraction)
+    r = len(w.values)
+    cap = max_order(r, max_order_fraction)
     if cap < 1:
+        raise OrderSelectionError(f"{w.package!r}: {r} releases allow no autoregressive order")
+    if cap >= r:
         raise OrderSelectionError(
-            f"{w.package!r}: {len(w.values)} releases allow no autoregressive order"
+            f"{w.package!r}: order cap {cap} leaves no response in {r} releases"
         )
     skipped: dict[int, str] = {}
     candidates: dict[int, ModelFit] = {}

@@ -7,17 +7,20 @@ six decimals, JSON keys are sorted, and the timestamp field/line can be
 suppressed with --no-timestamp so identical inputs give identical bytes.
 
 All experiment constants are flags with the documented defaults, never
-hard-coded, so sensitivity runs need no code changes.
+hard-coded, so sensitivity runs need no code changes.  Each flag is
+declared once, in :func:`build_parser`: its ``type=`` converter validates
+it, and the parsed namespace is the run configuration the handlers read.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Sequence
@@ -34,7 +37,7 @@ from .errors import (
     VulnseriesError,
 )
 
-__all__ = ["RunConfig", "main", "build_parser"]
+__all__ = ["main", "build_parser"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,52 +54,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(f"{self.prog}: {message}")
-
-
-@dataclass
-class RunConfig:
-    """Validated knobs for one pipeline invocation."""
-
-    db_path: str | None = None
-    snapshot_path: str | None = None
-    cache_dir: str | None = None
-    offline: bool = False
-    packages: tuple[str, ...] = ()
-    horizons: tuple[int, ...] = (5, 10)
-    min_releases: int = 25
-    min_std: float = 0.25
-    max_order_fraction: float = 0.1
-    parsimony_margin: float = autologistic.PARSIMONY_MARGIN
-    ridge_fallback: bool = False
-    full_sample: bool = False
-    tie_value: int = 1
-    alpha: float = 0.0
-    strict: bool = False
-    output_format: str = "json"
-    timestamp: bool = True
-    workers: int = 4
-    out: str | None = None
-    summary_out: str | None = None
-    histogram_out: str | None = None
-    attrition_out: str | None = None
-
-    def __post_init__(self) -> None:
-        if any(t < 1 for t in self.horizons):
-            raise ValueError("every horizon must be a positive integer")
-        if not 0 < self.max_order_fraction <= 1:
-            raise ValueError("max order fraction must be in (0, 1]")
-        if self.parsimony_margin < 0:
-            raise ValueError("AIC margin cannot be negative")
-        if self.min_std < 0:
-            raise ValueError("minimum standard deviation cannot be negative")
-        if self.min_releases < 1:
-            raise ValueError("minimum release count must be positive")
-        if self.alpha < 0:
-            raise ValueError("smoothing alpha cannot be negative")
-        if self.output_format not in ("json", "csv"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.tie_value not in (0, 1):
-            raise ValueError("tie value must be 0 or 1")
 
 
 # -- output helpers ------------------------------------------------------
@@ -121,9 +78,9 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_json(doc: dict, config: RunConfig, path: str | None) -> None:
+def _write_json(doc: dict, args: argparse.Namespace, path: str | None) -> None:
     doc = _rounded(doc)
-    if config.timestamp:
+    if not args.no_timestamp:
         doc["generated_at"] = datetime.now(timezone.utc).isoformat()
     _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", path)
 
@@ -143,11 +100,11 @@ def _csv_cell(value) -> str:
 def _write_csv(
     fieldnames: Sequence[str],
     rows: Sequence[dict],
-    config: RunConfig,
+    args: argparse.Namespace,
     path: str | None,
 ) -> None:
     buffer = io.StringIO()
-    if config.timestamp:
+    if not args.no_timestamp:
         buffer.write(f"# generated_at {datetime.now(timezone.utc).isoformat()}\n")
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(fieldnames)
@@ -195,10 +152,10 @@ def _warn(message: str) -> None:
 # -- shared loading ------------------------------------------------------
 
 
-def _load_db(config: RunConfig) -> safetydb.DatabaseLoadResult:
-    if not config.db_path:
+def _load_db(args: argparse.Namespace) -> safetydb.DatabaseLoadResult:
+    if not args.db:
         raise _UsageError("a database path is required (--db)")
-    result = safetydb.load_database_path(config.db_path)
+    result = safetydb.load_database_path(args.db)
     for record in result.skipped:
         _warn(f"skipped {record.package}/{record.advisory_id}: {record.reason} ({record.detail})")
     for record in result.warnings:
@@ -207,7 +164,7 @@ def _load_db(config: RunConfig) -> safetydb.DatabaseLoadResult:
 
 
 def _filter_packages(
-    db: safetydb.DatabaseLoadResult, packages: Sequence[str]
+    db: safetydb.DatabaseLoadResult, packages: Sequence[str] | None
 ) -> dict[str, tuple[safetydb.Advisory, ...]]:
     if not packages:
         return dict(db.advisories)
@@ -215,26 +172,26 @@ def _filter_packages(
     return {name: adv for name, adv in db.advisories.items() if name in wanted}
 
 
-def _load_corpus(config: RunConfig) -> vectorize.Corpus:
-    db = _load_db(config)
-    if not config.snapshot_path:
+def _load_corpus(args: argparse.Namespace) -> vectorize.Corpus:
+    db = _load_db(args)
+    if not args.snapshot:
         raise _UsageError("a snapshot path is required (--snapshot)")
-    histories = registry.load_snapshot(config.snapshot_path)
-    advisories = _filter_packages(db, config.packages)
-    return vectorize.build_corpus(advisories, histories, strict=config.strict)
+    histories = registry.load_snapshot(args.snapshot)
+    advisories = _filter_packages(db, args.packages)
+    return vectorize.build_corpus(advisories, histories, strict=args.strict)
 
 
 # -- commands ------------------------------------------------------------
 
 
-def cmd_ingest(config: RunConfig, transport=None) -> int:
-    db = _load_db(config)
-    packages = sorted(_filter_packages(db, config.packages))
+def cmd_ingest(args: argparse.Namespace, transport=None) -> int:
+    db = _load_db(args)
+    packages = sorted(_filter_packages(db, args.packages))
     client = registry.PyPIClient(
         transport=transport,
-        cache_dir=config.cache_dir,
-        offline=config.offline,
-        workers=config.workers,
+        cache_dir=args.cache,
+        offline=args.offline,
+        workers=args.workers,
     )
     histories, warnings, failures = client.fetch_many(packages)
     for line in warnings:
@@ -255,12 +212,12 @@ def cmd_ingest(config: RunConfig, transport=None) -> int:
             file=sys.stderr,
         )
         return EXIT_DATA
-    if not config.snapshot_path:
+    if not args.snapshot:
         raise _UsageError("a snapshot output path is required (--snapshot)")
-    registry.save_snapshot(config.snapshot_path, histories)
+    registry.save_snapshot(args.snapshot, histories)
     missing = len(failures) - len(hard) - len(payload_bad)
     print(
-        f"ingest: {len(histories)} histories written to {config.snapshot_path}"
+        f"ingest: {len(histories)} histories written to {args.snapshot}"
         f" ({missing} packages missing from the index)"
     )
     return EXIT_OK
@@ -272,23 +229,23 @@ def _attrition_doc(report: vectorize.AttritionReport) -> dict:
     return doc
 
 
-def cmd_build(config: RunConfig, transport=None) -> int:
-    corpus = _load_corpus(config)
+def cmd_build(args: argparse.Namespace) -> int:
+    corpus = _load_corpus(args)
     rows = vectorize.corpus_rows(corpus)
     attrition = _attrition_doc(corpus.attrition)
-    if config.output_format == "json":
+    if args.format == "json":
         doc = {
-            "meta": {"command": "build", "strict": config.strict},
+            "meta": {"command": "build", "strict": args.strict},
             "corpus": rows,
             "attrition": attrition,
         }
-        _write_json(doc, config, config.out)
+        _write_json(doc, args, args.out)
     else:
         fieldnames = ["package", "r", "m", "w", "counts"]
-        _write_csv(fieldnames, rows, config, config.out)
-        if config.attrition_out:
+        _write_csv(fieldnames, rows, args, args.out)
+        if args.attrition_out:
             records = [row for kind in _ATTRITION_KINDS for row in attrition[kind]]
-            _write_csv(_ATTRITION_COLUMNS, records, config, config.attrition_out)
+            _write_csv(_ATTRITION_COLUMNS, records, args, args.attrition_out)
     counts = attrition["counts"]
     print(
         f"build: {len(rows)} packages kept; dropped {counts['advisory_drops']} "
@@ -298,21 +255,21 @@ def cmd_build(config: RunConfig, transport=None) -> int:
     return EXIT_OK
 
 
-def cmd_markov(config: RunConfig, transport=None) -> int:
-    corpus = _load_corpus(config)
+def cmd_markov(args: argparse.Namespace) -> int:
+    corpus = _load_corpus(args)
     series = corpus.series()
     if not series:
-        if config.output_format == "json":
+        if args.format == "json":
             doc = {
-                "meta": {"command": "markov", "alpha": config.alpha},
+                "meta": {"command": "markov", "alpha": args.alpha},
                 "records": [],
                 "note": "corpus is empty",
             }
-            _write_json(doc, config, config.out)
+            _write_json(doc, args, args.out)
         else:
-            _write_csv(_MARKOV_COLUMNS, [], config, config.out)
+            _write_csv(_MARKOV_COLUMNS, [], args, args.out)
         return EXIT_OK
-    summary = markov.corpus_summary(series, alpha=config.alpha)
+    summary = markov.corpus_summary(series, alpha=args.alpha)
     records = _rows(summary.records, _MARKOV_COLUMNS)
     stats = {
         "releases": summary.release_stats,
@@ -325,17 +282,17 @@ def cmd_markov(config: RunConfig, transport=None) -> int:
         for metric, bins in sorted(summary.histograms.items())
         for left, right, count in bins
     ]
-    if config.output_format == "json":
+    if args.format == "json":
         doc = {
-            "meta": {"command": "markov", "alpha": config.alpha, "strict": config.strict},
+            "meta": {"command": "markov", "alpha": args.alpha, "strict": args.strict},
             "records": records,
             "stats": stats,
             "histograms": histogram_rows,
         }
-        _write_json(doc, config, config.out)
+        _write_json(doc, args, args.out)
     else:
-        _write_csv(_MARKOV_COLUMNS, records, config, config.out)
-        if config.summary_out:
+        _write_csv(_MARKOV_COLUMNS, records, args, args.out)
+        if args.summary_out:
             stat_rows = [
                 {"metric": metric, **{k: v for k, v in body.items()}}
                 for metric, body in stats.items()
@@ -343,31 +300,31 @@ def cmd_markov(config: RunConfig, transport=None) -> int:
             _write_csv(
                 ["metric", "n", "mean", "median", "q1", "q3", "min", "max"],
                 stat_rows,
-                config,
-                config.summary_out,
+                args,
+                args.summary_out,
             )
-        if config.histogram_out:
+        if args.histogram_out:
             _write_csv(
                 ["metric", "bin_left", "bin_right", "count"],
                 histogram_rows,
-                config,
-                config.histogram_out,
+                args,
+                args.histogram_out,
             )
     return EXIT_OK
 
 
-def cmd_forecast(config: RunConfig, transport=None) -> int:
-    corpus = _load_corpus(config)
+def cmd_forecast(args: argparse.Namespace) -> int:
+    corpus = _load_corpus(args)
     result = autologistic.run_experiment(
         corpus.series(),
-        horizons=config.horizons,
-        min_releases=config.min_releases,
-        min_std=config.min_std,
-        max_order_fraction=config.max_order_fraction,
-        parsimony_margin=config.parsimony_margin,
-        ridge_fallback=config.ridge_fallback,
-        full_sample=config.full_sample,
-        tie_value=config.tie_value,
+        horizons=args.t,
+        min_releases=args.min_releases,
+        min_std=args.min_std,
+        max_order_fraction=args.max_order_frac,
+        parsimony_margin=args.aic_margin,
+        ridge_fallback=args.ridge,
+        full_sample=args.full_sample,
+        tie_value=args.tie,
     )
     report_rows = _rows(result.reports, _REPORT_COLUMNS)
     summary_rows = _rows(result.summaries.values(), _SUMMARY_COLUMNS)
@@ -380,19 +337,19 @@ def cmd_forecast(config: RunConfig, transport=None) -> int:
         }
         for package, sel in sorted(result.orders.items())
     ]
-    if config.output_format == "json":
+    if args.format == "json":
         doc = {
             "meta": {
                 "command": "forecast",
-                "horizons": list(config.horizons),
-                "min_releases": config.min_releases,
-                "min_std": config.min_std,
-                "max_order_fraction": config.max_order_fraction,
-                "aic_margin": config.parsimony_margin,
-                "ridge": config.ridge_fallback,
-                "full_sample": config.full_sample,
-                "tie_value": config.tie_value,
-                "strict": config.strict,
+                "horizons": list(args.t),
+                "min_releases": args.min_releases,
+                "min_std": args.min_std,
+                "max_order_fraction": args.max_order_frac,
+                "aic_margin": args.aic_margin,
+                "ridge": args.ridge,
+                "full_sample": args.full_sample,
+                "tie_value": args.tie,
+                "strict": args.strict,
             },
             "reports": report_rows,
             "abs_errors": {
@@ -404,11 +361,11 @@ def cmd_forecast(config: RunConfig, transport=None) -> int:
         }
         if not result.reports:
             doc["note"] = "no package passed the eligibility filters"
-        _write_json(doc, config, config.out)
+        _write_json(doc, args, args.out)
     else:
-        _write_csv(_REPORT_COLUMNS, report_rows, config, config.out)
-        if config.summary_out:
-            _write_csv(_SUMMARY_COLUMNS, summary_rows, config, config.summary_out)
+        _write_csv(_REPORT_COLUMNS, report_rows, args, args.out)
+        if args.summary_out:
+            _write_csv(_SUMMARY_COLUMNS, summary_rows, args, args.summary_out)
     kept = len(result.reports)
     print(
         f"forecast: {kept} package-horizon reports, {len(exclusion_rows)} exclusions",
@@ -420,10 +377,43 @@ def cmd_forecast(config: RunConfig, transport=None) -> int:
 # -- argument parsing ----------------------------------------------------
 
 
+def _names(text: str) -> tuple[str, ...]:
+    """Split a comma-separated list, dropping blank entries."""
+    return tuple(token.strip() for token in text.split(",") if token.strip())
+
+
+def _checked(convert: Callable, accept: Callable, requirement: str) -> Callable:
+    """A ``type=`` converter: ``convert`` the text, then insist on ``accept``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            ok = accept(value)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {requirement}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
+_non_negative = _checked(
+    float, lambda x: math.isfinite(x) and x >= 0, "a finite non-negative number"
+)
+_fraction = _checked(float, lambda x: 0 < x <= 1, "a fraction in (0, 1]")
+_horizons = _checked(
+    lambda text: tuple(int(token) for token in _names(text)),
+    lambda ts: ts and min(ts) >= 1 and len(set(ts)) == len(ts),
+    "a list of distinct positive integers",
+)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--db", help="advisory database JSON file")
     parser.add_argument("--snapshot", help="release-history snapshot file")
-    parser.add_argument("--packages", help="comma-separated package filter")
+    parser.add_argument("--packages", type=_names, help="comma-separated package filter")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", help="primary output file (default stdout)")
     parser.add_argument(
@@ -438,7 +428,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> _Parser:
+def build_parser(transport=None) -> _Parser:
+    """The CLI parser; each subcommand stores its handler as ``run``.
+
+    ``transport`` is the index transport ``ingest`` fetches with (None
+    for the network).
+    """
     parser = _Parser(prog="vulnseries", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -447,26 +442,29 @@ def build_parser() -> _Parser:
     ingest.add_argument("--cache", help="payload cache directory")
     ingest.add_argument("--offline", action="store_true", help="serve from cache only")
     ingest.add_argument("--workers", type=int, default=4)
+    ingest.set_defaults(run=functools.partial(cmd_ingest, transport=transport))
 
     build = commands.add_parser("build", help="build the per-package binary series corpus")
     _add_common(build)
     build.add_argument("--attrition-out", help="CSV file for attrition records")
+    build.set_defaults(run=cmd_build)
 
     markov_cmd = commands.add_parser("markov", help="probability and transition summary")
     _add_common(markov_cmd)
-    markov_cmd.add_argument("--alpha", type=float, default=0.0, help="add-alpha smoothing")
+    markov_cmd.add_argument("--alpha", type=_non_negative, default=0.0, help="add-alpha smoothing")
     markov_cmd.add_argument("--summary-out", help="CSV file for distribution statistics")
     markov_cmd.add_argument("--histogram-out", help="CSV file for histogram bins")
+    markov_cmd.set_defaults(run=cmd_markov)
 
     forecast = commands.add_parser("forecast", help="run the release-forecast experiment")
     _add_common(forecast)
-    forecast.add_argument("--t", default="5,10", help="comma-separated horizons")
-    forecast.add_argument("--min-releases", type=int, default=25)
-    forecast.add_argument("--min-std", type=float, default=0.25)
-    forecast.add_argument("--max-order-frac", type=float, default=0.1)
+    forecast.add_argument("--t", type=_horizons, default="5,10", help="comma-separated horizons")
+    forecast.add_argument("--min-releases", type=_positive_int, default=25)
+    forecast.add_argument("--min-std", type=_non_negative, default=0.25)
+    forecast.add_argument("--max-order-frac", type=_fraction, default=0.1)
     forecast.add_argument(
         "--aic-margin",
-        type=float,
+        type=_non_negative,
         default=autologistic.PARSIMONY_MARGIN,
         help="orders within this AIC gap of the minimum count as tied (smallest wins)",
     )
@@ -478,77 +476,21 @@ def build_parser() -> _Parser:
     )
     forecast.add_argument("--tie", type=int, default=1, choices=(0, 1), help="naive tie prediction")
     forecast.add_argument("--summary-out", help="CSV file for the summary table")
+    forecast.set_defaults(run=cmd_forecast)
     return parser
-
-
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    horizons: tuple[int, ...] = (5, 10)
-    if getattr(args, "t", None):
-        try:
-            horizons = tuple(int(tok) for tok in str(args.t).split(",") if tok.strip())
-        except ValueError as exc:
-            raise _UsageError(f"bad horizon list {args.t!r}") from exc
-        if not horizons:
-            raise _UsageError("at least one horizon is required")
-    packages: tuple[str, ...] = ()
-    if getattr(args, "packages", None):
-        packages = tuple(p.strip() for p in args.packages.split(",") if p.strip())
-    try:
-        return RunConfig(
-            db_path=getattr(args, "db", None),
-            snapshot_path=getattr(args, "snapshot", None),
-            cache_dir=getattr(args, "cache", None),
-            offline=getattr(args, "offline", False),
-            packages=packages,
-            horizons=horizons,
-            min_releases=getattr(args, "min_releases", 25),
-            min_std=getattr(args, "min_std", 0.25),
-            max_order_fraction=getattr(args, "max_order_frac", 0.1),
-            parsimony_margin=getattr(
-                args, "aic_margin", autologistic.PARSIMONY_MARGIN
-            ),
-            ridge_fallback=getattr(args, "ridge", False),
-            full_sample=getattr(args, "full_sample", False),
-            tie_value=getattr(args, "tie", 1),
-            alpha=getattr(args, "alpha", 0.0),
-            strict=getattr(args, "strict", False),
-            output_format=getattr(args, "format", "json"),
-            timestamp=not getattr(args, "no_timestamp", False),
-            workers=getattr(args, "workers", 4),
-            out=getattr(args, "out", None),
-            summary_out=getattr(args, "summary_out", None),
-            histogram_out=getattr(args, "histogram_out", None),
-            attrition_out=getattr(args, "attrition_out", None),
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-
-
-_HANDLERS: dict[str, Callable[[RunConfig, object], int]] = {
-    "ingest": cmd_ingest,
-    "build": cmd_build,
-    "markov": cmd_markov,
-    "forecast": cmd_forecast,
-}
 
 
 def main(argv: Sequence[str] | None = None, transport=None) -> int:
     """Entry point; returns the exit code instead of raising SystemExit."""
-    parser = build_parser()
+    parser = build_parser(transport)
     try:
         args = parser.parse_args(argv)
-        config = _config_from(args)
+        return args.run(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
-    handler = _HANDLERS[args.command]
-    try:
-        return handler(config, transport)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (DatabaseLoadError, SnapshotSchemaError, SpecSyntaxError, VersionParseError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -51,6 +51,10 @@ __all__ = [
 SNAPSHOT_SCHEMA_VERSION = 1
 DEFAULT_ENDPOINT = "https://pypi.org/pypi"
 _CACHE_ENV = "VULNSERIES_CACHE"
+# A request is tried this many times; the n-th retry first sleeps
+# _BACKOFF_S * 2 ** (n - 1) seconds.
+_MAX_ATTEMPTS = 3
+_BACKOFF_S = 0.5
 
 Transport = Callable[[str], tuple[int, bytes]]
 
@@ -178,8 +182,6 @@ class PyPIClient:
         cache_dir: str | os.PathLike | None = None,
         offline: bool = False,
         endpoint: str = DEFAULT_ENDPOINT,
-        max_attempts: int = 3,
-        backoff: float = 0.5,
         sleep: Callable[[float], None] = time.sleep,
         workers: int = 4,
     ) -> None:
@@ -189,8 +191,6 @@ class PyPIClient:
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.offline = offline
         self.endpoint = endpoint.rstrip("/")
-        self.max_attempts = max(1, max_attempts)
-        self.backoff = backoff
         self.sleep = sleep
         self.workers = max(1, workers)
 
@@ -227,9 +227,9 @@ class PyPIClient:
     def _request(self, package: str) -> bytes:
         url = f"{self.endpoint}/{package}/json"
         last_error: Exception | None = None
-        for attempt in range(self.max_attempts):
+        for attempt in range(_MAX_ATTEMPTS):
             if attempt:
-                self.sleep(self.backoff * (2 ** (attempt - 1)))
+                self.sleep(_BACKOFF_S * (2 ** (attempt - 1)))
             try:
                 status, body = self.transport(url)
             except TransportError as exc:

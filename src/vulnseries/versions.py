@@ -49,22 +49,23 @@ _GRAMMAR = re.compile(
 )
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, order=True, repr=False)
 class Version:
     """A parsed release identifier.
 
     ``legacy`` marks strings outside the grammar; those keep only ``raw``
     meaningfully populated and order by their case-folded text.
+    Equality, order and hash follow ``sort_key`` alone.
     """
 
-    epoch: int
-    release: tuple[int, ...]
-    pre: tuple[str, int] | None
-    post: int | None
-    dev: int | None
-    local: str | None
-    raw: str
-    legacy: bool = False
+    epoch: int = field(compare=False)
+    release: tuple[int, ...] = field(compare=False)
+    pre: tuple[str, int] | None = field(compare=False)
+    post: int | None = field(compare=False)
+    dev: int | None = field(compare=False)
+    local: str | None = field(compare=False)
+    raw: str = field(compare=False)
+    legacy: bool = field(default=False, compare=False)
     _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -80,34 +81,6 @@ class Version:
 
     def __str__(self) -> str:
         return canonical_string(self)
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Version):
-            return NotImplemented
-        return self._key == other._key
-
-    def __lt__(self, other: object) -> bool:
-        if not isinstance(other, Version):
-            return NotImplemented
-        return self._key < other._key
-
-    def __le__(self, other: object) -> bool:
-        if not isinstance(other, Version):
-            return NotImplemented
-        return self._key <= other._key
-
-    def __gt__(self, other: object) -> bool:
-        if not isinstance(other, Version):
-            return NotImplemented
-        return self._key > other._key
-
-    def __ge__(self, other: object) -> bool:
-        if not isinstance(other, Version):
-            return NotImplemented
-        return self._key >= other._key
 
 
 def _stripped_release(release: tuple[int, ...]) -> tuple[int, ...]:

@@ -269,6 +269,13 @@ def test_all_candidates_failing_is_a_selection_error():
 def test_negative_margin_is_rejected():
     with pytest.raises(ValueError):
         select_order(series([0, 1] * 20), parsimony_margin=-0.5)
+    with pytest.raises(ValueError):
+        select_order(series([0, 1] * 20), parsimony_margin=math.nan)
+
+
+def test_order_cap_leaving_no_response_is_a_selection_error():
+    with pytest.raises(OrderSelectionError, match="'whole'.*no response"):
+        select_order(series([0, 1, 1] * 10, package="whole"), max_order_fraction=1.0)
 
 
 # --- eligibility ----------------------------------------------------------

@@ -113,11 +113,36 @@ def test_corrupt_snapshot_is_a_data_error(tmp_path):
 
 def test_bad_horizon_list_is_a_usage_error():
     assert cli.main(["forecast", "--db", DB, "--snapshot", SNAPSHOT, "--t", "5,x"]) == 1
+    assert cli.main(["forecast", "--db", DB, "--snapshot", SNAPSHOT, "--t", "5,5"]) == 1
 
 
 def test_negative_aic_margin_is_a_usage_error():
     argv = ["forecast", "--db", DB, "--snapshot", SNAPSHOT, "--aic-margin", "-1"]
     assert cli.main(argv) == 1
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("forecast", "--aic-margin", "nan"),
+        ("forecast", "--aic-margin", "inf"),
+        ("forecast", "--min-std", "nan"),
+        ("forecast", "--min-std", "-0.1"),
+        ("forecast", "--min-releases", "0"),
+        ("forecast", "--max-order-frac", "0"),
+        ("forecast", "--max-order-frac", "nan"),
+        ("forecast", "--max-order-frac", "1.5"),
+        ("forecast", "--t", ","),
+        ("markov", "--alpha", "inf"),
+        ("markov", "--alpha", "nan"),
+        ("markov", "--alpha", "-1"),
+    ],
+)
+def test_out_of_range_value_is_one_usage_error_line(capsys, command, flag, value):
+    assert cli.main([command, "--db", DB, "--snapshot", SNAPSHOT, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and flag in err
+    assert err.count("\n") == 1
 
 
 def test_zero_horizon_is_a_usage_error():
@@ -402,6 +427,17 @@ def test_forecast_with_nothing_eligible_notes_it(tmp_path):
     assert doc["reports"] == []
     assert doc["note"] == "no package passed the eligibility filters"
     assert doc["exclusions"][0]["reason"] == "too-few-releases"
+
+
+def test_forecast_order_cap_of_one_excludes_instead_of_failing(tmp_path, capsys):
+    doc = run_json(
+        tmp_path,
+        ["forecast", "--db", DB, "--snapshot", SNAPSHOT, "--max-order-frac", "1"],
+    )
+    assert doc["reports"] == []
+    reasons = {row["reason"] for row in doc["exclusions"] if row["t"] is None}
+    assert "order-selection-failed" in reasons
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_forecast_csv_output(tmp_path):

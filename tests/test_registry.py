@@ -106,7 +106,7 @@ def test_http_404_is_package_not_found_without_retry():
 def test_server_errors_retry_with_exponential_backoff():
     transport = make_transport([(500, b""), (503, b""), (200, payload({"1.0": []}))])
     naps = []
-    client = PyPIClient(transport=transport, sleep=naps.append, backoff=0.5)
+    client = PyPIClient(transport=transport, sleep=naps.append)
     history, _ = client.fetch_history("pkg")
     assert len(history) == 1
     assert naps == [0.5, 1.0]
@@ -114,7 +114,7 @@ def test_server_errors_retry_with_exponential_backoff():
 
 def test_exhausted_retries_raise_transport_error():
     transport = make_transport([(500, b""), (500, b""), (500, b"")])
-    client = PyPIClient(transport=transport, sleep=lambda s: None, max_attempts=3)
+    client = PyPIClient(transport=transport, sleep=lambda s: None)
     with pytest.raises(TransportError):
         client.fetch_history("pkg")
     assert len(transport.calls) == 3
