@@ -9,6 +9,7 @@ autologistic forecasting models.
 """
 
 from .errors import (
+    AttritionRecord,
     ClauseInvalidError,
     DatabaseLoadError,
     EstimationError,

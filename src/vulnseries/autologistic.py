@@ -30,6 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
+    AttritionRecord,
     ForecastError,
     InsufficientDataError,
     NotEligibleError,
@@ -46,7 +47,6 @@ __all__ = [
     "OrderSelection",
     "ForecastReport",
     "HorizonSummary",
-    "ExclusionRecord",
     "ExperimentResult",
     "build_lag_design",
     "log_likelihood",
@@ -136,14 +136,12 @@ class OrderSelection:
 
     ``aics`` holds the AICs of the candidate fits, all conditioned on
     the same initial window so their likelihoods are comparable;
-    ``fit`` is the selected order refit on its own full design (more
-    data, hence its ``aic`` differs from ``aics[order]``).
+    ``skipped`` maps each order whose fit failed to the error message.
     """
 
     order: int
     aics: Mapping[int, float]
     skipped: Mapping[int, str]
-    fit: ModelFit
 
 
 @dataclass(frozen=True)
@@ -161,7 +159,6 @@ class ForecastReport:
     naive_accuracy: float
     converged: bool
     flags: tuple[str, ...] = ()
-    protocol: str = "fit on the training prefix; score exactly the last t releases"
 
 
 @dataclass(frozen=True)
@@ -178,21 +175,11 @@ class HorizonSummary:
 
 
 @dataclass(frozen=True)
-class ExclusionRecord:
-    """Why a package sat out the experiment (t is None if horizon-free)."""
-
-    package: str
-    t: int | None
-    reason: str
-    detail: str
-
-
-@dataclass(frozen=True)
 class ExperimentResult:
     """Everything the forecast experiment produced."""
 
     reports: tuple[ForecastReport, ...]
-    exclusions: tuple[ExclusionRecord, ...]
+    exclusions: tuple[AttritionRecord, ...]
     summaries: Mapping[int, HorizonSummary]
     orders: Mapping[str, OrderSelection]
 
@@ -247,10 +234,6 @@ def score(design: LagDesign, beta: Sequence[float]) -> tuple[float, ...]:
     return tuple(_gradient(design.X, design.y, _sigmoid(eta)))
 
 
-class _SeparationSignal(Exception):
-    pass
-
-
 def _irls(
     X: np.ndarray,
     y: np.ndarray,
@@ -260,14 +243,14 @@ def _irls(
 
     Returns (beta, objective, converged, iterations, trace); the trace
     holds the objective at the start and after every accepted step.
-    With lam = 0 two conditions raise :class:`_SeparationSignal`: a
+    With lam = 0 two conditions raise :class:`SeparationError`: a
     coefficient running past the separation bound while the likelihood
     still improves (complete separation inflates coefficients fast), and
     a converged solution whose likelihood still strictly increases when
     a large coefficient is pushed further out (quasi-complete
     separation stalls the step size before the bound, but concavity
     makes the outward probe a sound divergence witness).  A singular
-    weighted system surfaces as ``numpy.linalg.LinAlgError``.
+    weighted system raises :class:`SingularModelError`.
     """
     beta = np.zeros(X.shape[1])
 
@@ -286,7 +269,10 @@ def _irls(
     for iterations in range(1, MAX_ITERATIONS + 1):
         weights = p * (1.0 - p)
         hessian = (X * weights[:, None]).T @ X + 2.0 * lam * np.eye(X.shape[1])
-        step = np.linalg.solve(hessian, gradient)
+        try:
+            step = np.linalg.solve(hessian, gradient)
+        except np.linalg.LinAlgError:
+            raise SingularModelError("weighted least-squares system is singular") from None
         candidate = beta + step
         value = objective(candidate)
         halvings = 0
@@ -298,7 +284,7 @@ def _irls(
         if value < current:
             break
         if lam == 0.0 and value > current and np.max(np.abs(candidate)) > SEPARATION_BOUND:
-            raise _SeparationSignal(
+            raise SeparationError(
                 "perfect separation: a coefficient exceeds "
                 f"{SEPARATION_BOUND} while the likelihood still improves"
             )
@@ -316,7 +302,7 @@ def _irls(
             probe = beta.copy()
             probe[j] += math.copysign(SEPARATION_PROBE_STEP, beta[j])
             if objective(probe) > current:
-                raise _SeparationSignal(
+                raise SeparationError(
                     "perfect separation: the likelihood is monotone in a "
                     f"coefficient ({beta[j]:.1f} and still growing)"
                 )
@@ -331,8 +317,10 @@ def fit(
     """Maximum-likelihood fit of the order-l autologistic coefficients.
 
     Constant responses and perfect separation raise
-    :class:`SeparationError` unless ``ridge_fallback`` is set, in which
-    case the fit is retried with a small quadratic penalty and flagged.
+    :class:`SeparationError`, and a singular weighted system raises
+    :class:`SingularModelError`, unless ``ridge_fallback`` is set: then
+    the fit is retried with a small quadratic penalty and flagged as
+    ``ridge`` (and as ``separation_detected`` after a separation).
     """
     parameters = design.order + 1
     if design.n < parameters:
@@ -340,31 +328,16 @@ def fit(
             f"{design.n} responses cannot identify {parameters} coefficients"
         )
     X, y = design.X, design.y
-    constant = bool(np.all(y == y[0]))
-    separation = False
-    ridge = False
-    if constant:
-        if not ridge_fallback:
+    separation = ridge = False
+    try:
+        if np.all(y == y[0]):
             raise SeparationError("responses are constant; likelihood is unbounded")
-        separation, ridge = True, True
-    if not ridge:
-        try:
-            beta, value, converged, iterations, trace = _irls(X, y, 0.0)
-        except _SeparationSignal as signal:
-            if not ridge_fallback:
-                raise SeparationError(str(signal)) from None
-            separation, ridge = True, True
-        except np.linalg.LinAlgError:
-            if not ridge_fallback:
-                raise SingularModelError(
-                    "weighted least-squares system is singular"
-                ) from None
-            ridge = True
-    if ridge:
-        try:
-            beta, _, converged, iterations, trace = _irls(X, y, RIDGE_LAMBDA)
-        except np.linalg.LinAlgError:  # pragma: no cover - penalty regularizes
-            raise SingularModelError("penalized system is singular") from None
+        beta, value, converged, iterations, trace = _irls(X, y, 0.0)
+    except (SeparationError, SingularModelError) as exc:
+        if not ridge_fallback:
+            raise
+        separation, ridge = isinstance(exc, SeparationError), True
+        beta, _, converged, iterations, trace = _irls(X, y, RIDGE_LAMBDA)
         value = _loglik(X, y, beta)
     return ModelFit(
         beta=tuple(float(b) for b in beta),
@@ -414,8 +387,6 @@ def select_order(
     ``parsimony_margin`` of the minimum: gaps of a few AIC units are
     weak evidence, so orders that close count as tied and ties resolve
     toward parsimony.  A margin of 0 reduces to the plain AIC minimum.
-    The returned fit re-estimates the winner on its own full design,
-    which uses every response available at that order.
 
     Orders whose fit fails are skipped with a reason; no candidate
     fitting at all, or a cap that leaves no response to fit, is a
@@ -431,8 +402,8 @@ def select_order(
         raise OrderSelectionError(
             f"{w.package!r}: order cap {cap} leaves no response in {r} releases"
         )
+    aics: dict[int, float] = {}
     skipped: dict[int, str] = {}
-    candidates: dict[int, ModelFit] = {}
     # Conditioning every order on the same initial window, the first cap
     # values, keeps their likelihoods over the same responses, so AICs
     # compare like with like.  Per-order windows would hand longer lags
@@ -442,10 +413,9 @@ def select_order(
     for order in range(1, cap + 1):
         design = LagDesign(np.ascontiguousarray(shared.X[:, : order + 1]), shared.y)
         try:
-            candidates[order] = fit(design, ridge_fallback=ridge_fallback)
+            aics[order] = fit(design, ridge_fallback=ridge_fallback).aic
         except (SeparationError, SingularModelError, InsufficientDataError) as exc:
             skipped[order] = str(exc)
-    aics = {order: candidate.aic for order, candidate in candidates.items()}
     if not aics:
         raise OrderSelectionError(
             f"{w.package!r}: no order in 1..{cap} produced a usable fit"
@@ -454,11 +424,7 @@ def select_order(
     selected = min(
         order for order, aic in aics.items() if aic <= floor + parsimony_margin
     )
-    try:
-        final = fit(build_lag_design(w, selected), ridge_fallback=ridge_fallback)
-    except (SeparationError, SingularModelError, InsufficientDataError):
-        final = candidates[selected]
-    return OrderSelection(order=selected, aics=aics, skipped=skipped, fit=final)
+    return OrderSelection(order=selected, aics=aics, skipped=skipped)
 
 
 def eligibility(
@@ -608,14 +574,12 @@ def run_experiment(
 ) -> ExperimentResult:
     """Select orders, filter, forecast, and summarize a whole corpus."""
     reports: list[ForecastReport] = []
-    exclusions: list[ExclusionRecord] = []
+    exclusions: list[AttritionRecord] = []
     orders: dict[str, OrderSelection] = {}
     for w in sorted(series, key=lambda s: s.package):
         if len(w.values) < min_releases:
             exclusions.append(
-                ExclusionRecord(
-                    w.package, None, "too-few-releases", f"r={len(w.values)}"
-                )
+                AttritionRecord(w.package, "too-few-releases", f"r={len(w.values)}")
             )
             continue
         try:
@@ -627,7 +591,7 @@ def run_experiment(
             )
         except OrderSelectionError as exc:
             exclusions.append(
-                ExclusionRecord(w.package, None, "order-selection-failed", str(exc))
+                AttritionRecord(w.package, "order-selection-failed", str(exc))
             )
             continue
         orders[w.package] = selection
@@ -649,11 +613,11 @@ def run_experiment(
                 verdict = exc.verdict
                 detail = f"std={verdict.std:.4f}" if verdict.std is not None else ""
                 exclusions.append(
-                    ExclusionRecord(w.package, t, verdict.reason or "", detail)
+                    AttritionRecord(w.package, verdict.reason or "", detail, t=t)
                 )
             except ForecastError as exc:
                 exclusions.append(
-                    ExclusionRecord(w.package, t, "forecast-failed", str(exc))
+                    AttritionRecord(w.package, "forecast-failed", str(exc), t=t)
                 )
     summaries = experiment_summary(reports) if reports else {}
     return ExperimentResult(

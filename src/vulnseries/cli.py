@@ -27,13 +27,9 @@ from typing import Callable, Sequence
 
 from . import autologistic, markov, registry, safetydb, vectorize
 from .errors import (
-    DatabaseLoadError,
     OfflineCacheMissError,
     SnapshotNotFoundError,
-    SnapshotSchemaError,
-    SpecSyntaxError,
     TransportError,
-    VersionParseError,
     VulnseriesError,
 )
 
@@ -441,7 +437,7 @@ def build_parser(transport=None) -> _Parser:
     _add_common(ingest)
     ingest.add_argument("--cache", help="payload cache directory")
     ingest.add_argument("--offline", action="store_true", help="serve from cache only")
-    ingest.add_argument("--workers", type=int, default=4)
+    ingest.add_argument("--workers", type=_positive_int, default=4)
     ingest.set_defaults(run=functools.partial(cmd_ingest, transport=transport))
 
     build = commands.add_parser("build", help="build the per-package binary series corpus")
@@ -491,9 +487,6 @@ def main(argv: Sequence[str] | None = None, transport=None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
-    except (DatabaseLoadError, SnapshotSchemaError, SpecSyntaxError, VersionParseError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (SnapshotNotFoundError, TransportError, OfflineCacheMissError, OSError) as exc:
         print(f"environment error: {exc}", file=sys.stderr)
         return EXIT_ENVIRONMENT

@@ -1,6 +1,30 @@
-"""Exception types shared across the library."""
+"""Exception types and the attrition record shared across the library.
+
+A failure becomes a library error where it arises.  A stage that sets
+an item aside instead of failing turns that error, or its own verdict,
+into one :class:`AttritionRecord` with a stable reason code; registry
+errors carry their code as the ``reason`` class attribute.
+"""
 
 from __future__ import annotations
+
+from dataclasses import KW_ONLY, dataclass
+
+
+@dataclass(frozen=True)
+class AttritionRecord:
+    """One item a stage dropped, skipped or flagged, with a stable reason code.
+
+    ``advisory_id`` names the advisory when the item is one; ``t`` names
+    the forecast horizon when the item is a package-horizon pair.
+    """
+
+    package: str
+    reason: str
+    detail: str
+    _: KW_ONLY
+    advisory_id: str | None = None
+    t: int | None = None
 
 
 class VulnseriesError(Exception):
@@ -27,23 +51,36 @@ class DatabaseLoadError(VulnseriesError):
 
 
 class RegistryError(VulnseriesError):
-    """Base class for package index retrieval failures."""
+    """Base class for package index retrieval failures.
+
+    Each subclass declares the attrition ``reason`` code it records under.
+    """
+
+    reason: str
 
 
 class PackageNotFoundError(RegistryError):
     """The index does not know the package, or it has no usable releases."""
 
+    reason = "not-found"
+
 
 class TransportError(RegistryError):
     """Network failure that persisted through the retry budget."""
+
+    reason = "transport"
 
 
 class OfflineCacheMissError(RegistryError):
     """Offline mode was requested but the package is not in the local cache."""
 
+    reason = "offline-miss"
+
 
 class PayloadFormatError(RegistryError):
     """The index returned a payload we cannot interpret."""
+
+    reason = "bad-payload"
 
 
 class SnapshotError(VulnseriesError):

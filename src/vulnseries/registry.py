@@ -26,9 +26,11 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
+    AttritionRecord,
     OfflineCacheMissError,
     PackageNotFoundError,
     PayloadFormatError,
+    RegistryError,
     SnapshotNotFoundError,
     SnapshotSchemaError,
     TransportError,
@@ -38,7 +40,6 @@ from .versions import Version, parse_version
 __all__ = [
     "Release",
     "ReleaseHistory",
-    "FetchFailure",
     "PyPIClient",
     "order_history",
     "normalize_name",
@@ -88,15 +89,6 @@ class ReleaseHistory:
 
     def versions(self) -> tuple[Version, ...]:
         return tuple(r.version for r in self.releases)
-
-
-@dataclass(frozen=True)
-class FetchFailure:
-    """Why one package could not be fetched during a bulk run."""
-
-    package: str
-    reason: str
-    detail: str
 
 
 def order_history(
@@ -279,32 +271,25 @@ class PyPIClient:
 
     def fetch_many(
         self, packages: Sequence[str]
-    ) -> tuple[dict[str, ReleaseHistory], tuple[str, ...], tuple[FetchFailure, ...]]:
+    ) -> tuple[dict[str, ReleaseHistory], tuple[str, ...], tuple[AttritionRecord, ...]]:
         """Fetch several packages concurrently.
 
-        Failures never abort the batch: each becomes a
-        :class:`FetchFailure` carrying a stable reason code.
+        Failures never abort the batch: each :class:`RegistryError`
+        becomes an :class:`AttritionRecord` under the error's ``reason``
+        code (``not-found``, ``transport``, ``offline-miss`` or
+        ``bad-payload``).
         """
         histories: dict[str, ReleaseHistory] = {}
         warnings: list[str] = []
-        failures: list[FetchFailure] = []
+        failures: list[AttritionRecord] = []
 
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
             futures = [pool.submit(self.fetch_history, p) for p in packages]
             for package, future in zip(packages, futures):
                 try:
                     history, history_warnings = future.result()
-                except PackageNotFoundError as exc:
-                    failures.append(FetchFailure(package, "not-found", str(exc)))
-                    continue
-                except OfflineCacheMissError as exc:
-                    failures.append(FetchFailure(package, "offline-miss", str(exc)))
-                    continue
-                except PayloadFormatError as exc:
-                    failures.append(FetchFailure(package, "bad-payload", str(exc)))
-                    continue
-                except TransportError as exc:
-                    failures.append(FetchFailure(package, "transport", str(exc)))
+                except RegistryError as exc:
+                    failures.append(AttritionRecord(package, exc.reason, str(exc)))
                     continue
                 histories[package] = history
                 warnings.extend(history_warnings)

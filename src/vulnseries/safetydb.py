@@ -18,14 +18,13 @@ import re
 from dataclasses import dataclass
 from typing import IO, Mapping, Union
 
-from .errors import DatabaseLoadError, SpecSyntaxError, VersionParseError
+from .errors import AttritionRecord, DatabaseLoadError, SpecSyntaxError, VersionParseError
 from .versions import Version, canonical_string, parse_version
 
 __all__ = [
     "Constraint",
     "SpecClause",
     "Advisory",
-    "SkipRecord",
     "DatabaseLoadResult",
     "parse_spec",
     "load_database",
@@ -73,22 +72,12 @@ class Advisory:
 
 
 @dataclass(frozen=True)
-class SkipRecord:
-    """Why an advisory (or package entry) was dropped or flagged."""
-
-    package: str
-    advisory_id: str | None
-    reason: str
-    detail: str
-
-
-@dataclass(frozen=True)
 class DatabaseLoadResult:
     """Parsed advisories keyed by package, plus the attrition records."""
 
     advisories: Mapping[str, tuple[Advisory, ...]]
-    skipped: tuple[SkipRecord, ...]
-    warnings: tuple[SkipRecord, ...]
+    skipped: tuple[AttritionRecord, ...]
+    warnings: tuple[AttritionRecord, ...]
 
     @property
     def advisory_count(self) -> int:
@@ -120,35 +109,44 @@ def parse_spec(text: str) -> SpecClause:
     return SpecClause(tuple(constraints))
 
 
-def _parse_entry(package: str, index: int, entry: object) -> Advisory | SkipRecord | tuple[Advisory, list[SkipRecord]]:
+def _parse_entry(
+    package: str, index: int, entry: object
+) -> AttritionRecord | tuple[Advisory, list[AttritionRecord]]:
+    """The entry's advisory and warnings, or the record of why it is skipped."""
     if not isinstance(entry, dict):
-        return SkipRecord(package, None, "entry-not-an-object", f"index {index}")
+        return AttritionRecord(package, "entry-not-an-object", f"index {index}")
     advisory_id = entry.get("id")
-    warnings: list[SkipRecord] = []
+    warnings: list[AttritionRecord] = []
     if not isinstance(advisory_id, str) or not advisory_id:
         advisory_id = f"{package}[{index}]"
-        warnings.append(SkipRecord(package, advisory_id, "missing-id", "synthesized placeholder id"))
+        warnings.append(
+            AttritionRecord(package, "missing-id", "synthesized placeholder id", advisory_id=advisory_id)
+        )
+
+    def record(reason: str, detail: str) -> AttritionRecord:
+        return AttritionRecord(package, reason, detail, advisory_id=advisory_id)
+
     specs = entry.get("specs")
     if specs is None:
-        return SkipRecord(package, advisory_id, "missing-specs", "no specs field")
+        return record("missing-specs", "no specs field")
     if not isinstance(specs, list) or not specs:
-        return SkipRecord(package, advisory_id, "empty-specs", "specs is not a non-empty array")
+        return record("empty-specs", "specs is not a non-empty array")
     clauses = []
     for spec in specs:
         if not isinstance(spec, str):
-            return SkipRecord(package, advisory_id, "spec-not-a-string", repr(spec))
+            return record("spec-not-a-string", repr(spec))
         try:
             clauses.append(parse_spec(spec))
         except SpecSyntaxError as exc:
-            return SkipRecord(package, advisory_id, "spec-syntax", str(exc))
+            return record("spec-syntax", str(exc))
         except VersionParseError as exc:
-            return SkipRecord(package, advisory_id, "bad-version", f"{spec!r}: {exc}")
+            return record("bad-version", f"{spec!r}: {exc}")
     cve = entry.get("cve")
     if cve is not None:
         if isinstance(cve, str) and _CVE_RE.match(cve):
             pass
         else:
-            warnings.append(SkipRecord(package, advisory_id, "malformed-cve", repr(cve)))
+            warnings.append(record("malformed-cve", repr(cve)))
             cve = None
     advisory = Advisory(
         id=advisory_id,
@@ -175,18 +173,18 @@ def load_database(source: Union[bytes, str, IO[bytes]]) -> DatabaseLoadResult:
         raise DatabaseLoadError("database top level must be a JSON object keyed by package name")
 
     advisories: dict[str, tuple[Advisory, ...]] = {}
-    skipped: list[SkipRecord] = []
-    warnings: list[SkipRecord] = []
+    skipped: list[AttritionRecord] = []
+    warnings: list[AttritionRecord] = []
     for package, entries in doc.items():
         if package.startswith("$"):
             continue
         if not isinstance(entries, list):
-            skipped.append(SkipRecord(package, None, "package-not-an-array", type(entries).__name__))
+            skipped.append(AttritionRecord(package, "package-not-an-array", type(entries).__name__))
             continue
         kept: list[Advisory] = []
         for index, entry in enumerate(entries):
             result = _parse_entry(package, index, entry)
-            if isinstance(result, SkipRecord):
+            if isinstance(result, AttritionRecord):
                 skipped.append(result)
             else:
                 advisory, entry_warnings = result

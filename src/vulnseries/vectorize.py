@@ -18,13 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import ClauseInvalidError
+from .errors import AttritionRecord, ClauseInvalidError
 from .registry import ReleaseHistory
 from .safetydb import Advisory, Constraint, DatabaseLoadResult, SpecClause
 
 __all__ = [
     "BinarySeries",
-    "AttritionRecord",
     "AttritionReport",
     "PackageResult",
     "Corpus",
@@ -49,16 +48,6 @@ class BinarySeries:
 
 
 @dataclass(frozen=True)
-class AttritionRecord:
-    """One dropped or flagged item, with a stable reason code."""
-
-    package: str
-    advisory_id: str | None
-    reason: str
-    detail: str
-
-
-@dataclass(frozen=True)
 class AttritionReport:
     """Everything that fell out of the pipeline, and why."""
 
@@ -66,14 +55,6 @@ class AttritionReport:
     advisory_drops: tuple[AttritionRecord, ...]
     package_drops: tuple[AttritionRecord, ...]
     flags: tuple[AttritionRecord, ...]
-
-    @property
-    def dropped_advisories(self) -> int:
-        return len(self.advisory_drops)
-
-    @property
-    def dropped_packages(self) -> int:
-        return len(self.package_drops)
 
 
 @dataclass(frozen=True)
@@ -202,7 +183,6 @@ def build_corpus(
             package_drops.append(
                 AttritionRecord(
                     package,
-                    None,
                     "no-history",
                     f"{len(advisories)} advisories had no release history to fill",
                 )
@@ -219,10 +199,10 @@ def build_corpus(
                         flags.append(
                             AttritionRecord(
                                 package,
-                                advisory.id,
                                 "not-equal-operator",
                                 f"clause {clause.text()!r} uses !=; filled as "
                                 "all-but-boundary",
+                                advisory_id=advisory.id,
                             )
                         )
                 try:
@@ -231,9 +211,9 @@ def build_corpus(
                     clause_drops.append(
                         AttritionRecord(
                             package,
-                            advisory.id,
                             "boundary-version-absent",
                             f"clause {clause.text()!r}: {exc}",
+                            advisory_id=advisory.id,
                         )
                     )
                     continue
@@ -242,9 +222,9 @@ def build_corpus(
                 advisory_drops.append(
                     AttritionRecord(
                         package,
-                        advisory.id,
                         "no-valid-clause",
                         "every clause referenced versions missing from the history",
+                        advisory_id=advisory.id,
                     )
                 )
             else:
@@ -254,7 +234,6 @@ def build_corpus(
             package_drops.append(
                 AttritionRecord(
                     package,
-                    None,
                     "no-surviving-advisory",
                     "all advisories of the package were dropped",
                 )

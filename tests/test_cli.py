@@ -136,10 +136,16 @@ def test_negative_aic_margin_is_a_usage_error():
         ("markov", "--alpha", "inf"),
         ("markov", "--alpha", "nan"),
         ("markov", "--alpha", "-1"),
+        ("ingest", "--workers", "0"),
+        ("ingest", "--workers", "-3"),
     ],
 )
 def test_out_of_range_value_is_one_usage_error_line(capsys, command, flag, value):
-    assert cli.main([command, "--db", DB, "--snapshot", SNAPSHOT, flag, value]) == 1
+    def transport(url):
+        raise AssertionError(f"the index was contacted: {url}")
+
+    argv = [command, "--db", DB, "--snapshot", SNAPSHOT, flag, value]
+    assert cli.main(argv, transport=transport) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and flag in err
     assert err.count("\n") == 1

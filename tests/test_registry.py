@@ -195,7 +195,7 @@ def test_cache_dir_from_environment(tmp_path, monkeypatch):
     assert (tmp_path / "pkg.json").is_file()
 
 
-def test_fetch_many_collects_failures_without_aborting():
+def test_fetch_many_collects_failures_without_aborting(tmp_path):
     bodies = {
         "good": (200, payload({"1.0": [], "1.1": []})),
         "gone": (404, b""),
@@ -213,6 +213,9 @@ def test_fetch_many_collects_failures_without_aborting():
     assert set(histories) == {"good"}
     reasons = {f.package: f.reason for f in failures}
     assert reasons == {"gone": "not-found", "broken": "bad-payload"}
+    offline = PyPIClient(transport=transport, cache_dir=tmp_path, offline=True)
+    _, _, failures = offline.fetch_many(["good"])
+    assert [(f.package, f.reason) for f in failures] == [("good", "offline-miss")]
 
 
 def test_fetch_many_names_the_package_of_a_transport_failure():

@@ -153,7 +153,7 @@ def test_missing_history_drops_the_package():
     assert not corpus.packages
     (drop,) = corpus.attrition.package_drops
     assert drop.reason == "no-history"
-    assert corpus.attrition.dropped_packages == 1
+    assert len(corpus.attrition.package_drops) == 1
 
 
 def test_invalid_clause_drops_only_that_clause():
@@ -177,7 +177,7 @@ def test_advisory_with_no_valid_clause_is_dropped():
     (drop,) = corpus.attrition.advisory_drops
     assert drop.advisory_id == "DEAD"
     assert drop.reason == "no-valid-clause"
-    assert corpus.attrition.dropped_advisories == 1
+    assert len(corpus.attrition.advisory_drops) == 1
 
 
 def test_package_with_no_surviving_advisory_is_dropped():
