@@ -6,7 +6,10 @@ plus a constant.  A design is a numpy lag matrix whose row i is
 [1, w_{i-1}, ..., w_{i-l}]; one matrix at the largest candidate order
 serves every smaller order as its leading columns.  Fitting maximizes
 the exact likelihood by iteratively reweighted least squares with step
-halving, so the objective never decreases between iterations.  Perfect
+halving, so the objective never decreases between iterations.  The
+order-1 model is the first-order Markov chain: when all four of its
+transition counts are positive its MLE is their shares, computed in
+closed form without iterating.  Perfect
 separation is detected and either reported as an error or, when the
 ridge fallback is enabled, handled by a small quadratic penalty (the
 stored log-likelihood stays unpenalized; AIC is then approximate and
@@ -205,16 +208,15 @@ def build_lag_design(w: BinarySeries, order: int) -> LagDesign:
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(eta)
-    positive = eta >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-eta[positive]))
-    expeta = np.exp(eta[~positive])
-    out[~positive] = expeta / (1.0 + expeta)
-    return out
+    # 1 / (1 + e^-eta) for eta >= 0 and e^eta / (1 + e^eta) below, so no
+    # exponential overflows; e = exp(-|eta|) is the exponential of both.
+    e = np.exp(-np.abs(eta))
+    d = 1.0 + e
+    return np.where(eta >= 0, 1.0 / d, e / d)
 
 
-def _loglik(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
-    eta = X @ beta
+def _loglik(y: np.ndarray, eta: np.ndarray) -> float:
+    """Bernoulli log-likelihood of the responses at the linear form ``eta``."""
     return float(y @ eta - np.logaddexp(0.0, eta).sum())
 
 
@@ -225,7 +227,7 @@ def _gradient(X: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def log_likelihood(design: LagDesign, beta: Sequence[float]) -> float:
     """Exact Bernoulli log-likelihood of the coefficients on the design."""
-    return _loglik(design.X, design.y, np.asarray(beta, dtype=float))
+    return _loglik(design.y, design.X @ np.asarray(beta, dtype=float))
 
 
 def score(design: LagDesign, beta: Sequence[float]) -> tuple[float, ...]:
@@ -254,36 +256,39 @@ def _irls(
     """
     beta = np.zeros(X.shape[1])
 
-    def objective(b: np.ndarray) -> float:
-        return _loglik(X, y, b) - lam * float(b @ b)
+    def objective(b: np.ndarray) -> tuple[float, np.ndarray]:
+        eta = X @ b
+        return _loglik(y, eta) - lam * float(b @ b), eta
 
-    def slope(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p = _sigmoid(X @ b)
+    def slope(b: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        p = _sigmoid(eta)
         return p, _gradient(X, y, p) - 2.0 * lam * b
 
-    current = objective(beta)
+    current, eta = objective(beta)
     trace = [current]
-    p, gradient = slope(beta)
+    p, gradient = slope(beta, eta)
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
         weights = p * (1.0 - p)
-        hessian = (X * weights[:, None]).T @ X + 2.0 * lam * np.eye(X.shape[1])
+        hessian = (X * weights[:, None]).T @ X
+        if lam:
+            hessian += 2.0 * lam * np.eye(X.shape[1])
         try:
             step = np.linalg.solve(hessian, gradient)
         except np.linalg.LinAlgError:
             raise SingularModelError("weighted least-squares system is singular") from None
         candidate = beta + step
-        value = objective(candidate)
+        value, eta = objective(candidate)
         halvings = 0
         while value < current and halvings < 30:
             step /= 2.0
             candidate = beta + step
-            value = objective(candidate)
+            value, eta = objective(candidate)
             halvings += 1
         if value < current:
             break
-        if lam == 0.0 and value > current and np.max(np.abs(candidate)) > SEPARATION_BOUND:
+        if lam == 0.0 and value > current and np.abs(candidate).max() > SEPARATION_BOUND:
             raise SeparationError(
                 "perfect separation: a coefficient exceeds "
                 f"{SEPARATION_BOUND} while the likelihood still improves"
@@ -291,8 +296,8 @@ def _irls(
         improvement = value - current
         beta, current = candidate, value
         trace.append(current)
-        p, gradient = slope(beta)
-        if improvement < LOGLIK_TOL and np.max(np.abs(gradient)) < GRADIENT_TOL:
+        p, gradient = slope(beta, eta)
+        if improvement < LOGLIK_TOL and np.abs(gradient).max() < GRADIENT_TOL:
             converged = True
             break
     if lam == 0.0 and converged:
@@ -301,12 +306,39 @@ def _irls(
                 continue
             probe = beta.copy()
             probe[j] += math.copysign(SEPARATION_PROBE_STEP, beta[j])
-            if objective(probe) > current:
+            if objective(probe)[0] > current:
                 raise SeparationError(
                     "perfect separation: the likelihood is monotone in a "
                     f"coefficient ({beta[j]:.1f} and still growing)"
                 )
     return beta, current, converged, iterations, tuple(trace)
+
+
+def _markov_mle(
+    X: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, float, bool, int, tuple[float, ...]] | None:
+    """The order-1 MLE in closed form, as ``_irls`` would report it.
+
+    An order-1 design over 0/1 values has two distinct rows, so the
+    fitted probabilities are the transition shares of the first-order
+    Markov chain: sigmoid(b0) = n01 / (n00 + n01) and sigmoid(b0 + b1) =
+    n11 / (n10 + n11), where nab counts lag a followed by response b.
+    Returns None for any other design, and when a cell is empty: then
+    the MLE does not exist, and the design is left to ``_irls`` and its
+    separation checks.
+    """
+    if X.shape[1] != 2 or not (X[:, 0] == 1).all():
+        return None
+    lag = X[:, 1]
+    if not (((lag == 0) | (lag == 1)).all() and ((y == 0) | (y == 1)).all()):
+        return None
+    n00, n01, n10, n11 = np.bincount((2 * lag + y).astype(np.intp), minlength=4).tolist()
+    if not (n00 and n01 and n10 and n11):
+        return None
+    b0 = math.log(n01 / n00)
+    beta = np.array([b0, math.log(n11 / n10) - b0])
+    value = _loglik(y, X @ beta)
+    return beta, value, True, 0, (value,)
 
 
 def fit(
@@ -316,6 +348,9 @@ def fit(
 ) -> ModelFit:
     """Maximum-likelihood fit of the order-l autologistic coefficients.
 
+    An order-1 design over 0/1 values whose four transition counts are
+    all positive is fit in closed form (``iterations=0`` and a one-entry
+    ``trace``); every other design is fit by damped Newton iterations.
     Constant responses and perfect separation raise
     :class:`SeparationError`, and a singular weighted system raises
     :class:`SingularModelError`, unless ``ridge_fallback`` is set: then
@@ -332,13 +367,13 @@ def fit(
     try:
         if np.all(y == y[0]):
             raise SeparationError("responses are constant; likelihood is unbounded")
-        beta, value, converged, iterations, trace = _irls(X, y, 0.0)
+        beta, value, converged, iterations, trace = _markov_mle(X, y) or _irls(X, y, 0.0)
     except (SeparationError, SingularModelError) as exc:
         if not ridge_fallback:
             raise
         separation, ridge = isinstance(exc, SeparationError), True
         beta, _, converged, iterations, trace = _irls(X, y, RIDGE_LAMBDA)
-        value = _loglik(X, y, beta)
+        value = _loglik(y, X @ beta)
     return ModelFit(
         beta=tuple(float(b) for b in beta),
         loglik=value,

@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 
 from . import autologistic, markov, registry, safetydb, vectorize
 from .errors import (
+    AttritionRecord,
     OfflineCacheMissError,
     SnapshotNotFoundError,
     TransportError,
@@ -148,14 +149,21 @@ def _warn(message: str) -> None:
 # -- shared loading ------------------------------------------------------
 
 
+def _entry(record: AttritionRecord) -> str:
+    """``package/advisory-id``, or the package alone when there is no id."""
+    if record.advisory_id is None:
+        return record.package
+    return f"{record.package}/{record.advisory_id}"
+
+
 def _load_db(args: argparse.Namespace) -> safetydb.DatabaseLoadResult:
     if not args.db:
         raise _UsageError("a database path is required (--db)")
     result = safetydb.load_database_path(args.db)
     for record in result.skipped:
-        _warn(f"skipped {record.package}/{record.advisory_id}: {record.reason} ({record.detail})")
+        _warn(f"skipped {_entry(record)}: {record.reason} ({record.detail})")
     for record in result.warnings:
-        _warn(f"{record.package}/{record.advisory_id}: {record.reason} ({record.detail})")
+        _warn(f"{_entry(record)}: {record.reason} ({record.detail})")
     return result
 
 

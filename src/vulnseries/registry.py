@@ -34,6 +34,7 @@ from .errors import (
     SnapshotNotFoundError,
     SnapshotSchemaError,
     TransportError,
+    VersionParseError,
 )
 from .versions import Version, parse_version
 
@@ -101,10 +102,15 @@ def order_history(
     last), then the raw string, which keeps the result deterministic.
     Consecutive entries that compare equal as versions are collapsed to
     the first one; each collapse is reported in the returned warnings.
+    A version string that does not parse raises
+    :class:`VersionParseError` naming the package and the string.
     """
     parsed: list[Release] = []
     for raw, upload_time in entries:
-        parsed.append(Release(parse_version(raw), raw, upload_time))
+        try:
+            parsed.append(Release(parse_version(raw), raw, upload_time))
+        except VersionParseError as exc:
+            raise VersionParseError(f"{package!r} lists version {raw!r}: {exc}") from None
 
     def sort_key(release: Release):
         missing = release.upload_time is None
@@ -258,7 +264,12 @@ class PyPIClient:
         return releases
 
     def fetch_history(self, package: str) -> tuple[ReleaseHistory, tuple[str, ...]]:
-        """Fetch, parse, and order one package's release history."""
+        """Fetch, parse, and order one package's release history.
+
+        A releases map with a version key that does not parse is a
+        :class:`PayloadFormatError`, like any other payload we cannot
+        interpret.
+        """
         entries = [
             (raw, _earliest_upload(files))
             for raw, files in self._fetch_releases(package).items()
@@ -267,7 +278,10 @@ class PyPIClient:
             raise PackageNotFoundError(
                 f"package {package!r} has no published releases"
             )
-        return order_history(package, entries)
+        try:
+            return order_history(package, entries)
+        except VersionParseError as exc:
+            raise PayloadFormatError(str(exc)) from exc
 
     def fetch_many(
         self, packages: Sequence[str]

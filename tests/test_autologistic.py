@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 import oracles
+from vulnseries import autologistic
 from vulnseries.autologistic import (
     LagDesign,
+    ModelFit,
     PARSIMONY_MARGIN,
+    _sigmoid,
     build_lag_design,
     eligibility,
     experiment_summary,
@@ -153,10 +156,65 @@ def test_aic_identity_holds_on_every_fit():
 def test_objective_trace_is_monotone():
     rng = random.Random(31)
     values = simulate((-0.5, 1.5), 100, rng)
-    model = fit(build_lag_design(series(values), 1))
+    # Order 2: an order-1 fit is exact, with a one-entry trace.
+    model = fit(build_lag_design(series(values), 2))
     trace = model.trace
     assert len(trace) >= 2
     assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
+
+
+def _outcome(design):
+    try:
+        return fit(design)
+    except (SeparationError, SingularModelError) as exc:
+        return type(exc), str(exc)
+
+
+def test_order_one_fits_are_the_markov_chain_mle(monkeypatch):
+    # Every binary series of length 3 to 12.  With every transition cell
+    # positive the closed form must agree with the Newton iterations;
+    # otherwise the fit takes the iterative path, errors included.
+    designs = [
+        build_lag_design(series([(code >> i) & 1 for i in range(length)]), 1)
+        for length in range(3, 13)
+        for code in range(2**length)
+    ]
+    assert len(designs) == 8184
+    exact = [_outcome(design) for design in designs]
+    monkeypatch.setattr(autologistic, "_markov_mle", lambda X, y: None)
+    iterative = [_outcome(design) for design in designs]
+    closed_forms = 0
+    for design, model, reference in zip(designs, exact, iterative):
+        cells = np.bincount((2 * design.X[:, 1] + design.y).astype(int), minlength=4)
+        if cells.min() == 0:
+            assert model == reference
+            continue
+        closed_forms += 1
+        assert (model.converged, model.iterations, model.trace) == (True, 0, (model.loglik,))
+        assert isinstance(reference, ModelFit) and reference.converged
+        assert model.aic == pytest.approx(reference.aic, abs=1e-6)
+        n00, n01, n10, n11 = cells
+        shares = np.where(design.X[:, 1] == 1, n11 / (n10 + n11), n01 / (n00 + n01))
+        fitted = _sigmoid(design.X @ np.asarray(model.beta))
+        iterated = _sigmoid(design.X @ np.asarray(reference.beta))
+        assert np.allclose(fitted, shares, rtol=0.0, atol=1e-12)
+        assert np.allclose(fitted, iterated, rtol=0.0, atol=1e-6)
+    assert closed_forms > 1000
+
+
+def test_sigmoid_is_bit_identical_to_the_masked_pair():
+    def masked_pair(eta):
+        out = np.empty_like(eta)
+        positive = eta >= 0
+        out[positive] = 1.0 / (1.0 + np.exp(-eta[positive]))
+        expeta = np.exp(eta[~positive])
+        out[~positive] = expeta / (1.0 + expeta)
+        return out
+
+    edges = [0.0, 1e-300, 1.0, 36.0, 709.8, 745.2, math.inf]
+    draws = np.random.default_rng(43).normal(0.0, 50.0, 10_000)
+    eta = np.concatenate([edges, [-x for x in edges], [math.nan], draws])
+    assert np.array_equal(_sigmoid(eta), masked_pair(eta), equal_nan=True)
 
 
 def test_complement_symmetry_of_the_mle():

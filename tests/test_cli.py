@@ -200,6 +200,18 @@ def test_build_reports_attrition(tmp_path):
     assert ("julietpkg", "not-equal-operator") in flags
 
 
+def test_database_skip_without_an_advisory_id_names_the_package_alone(tmp_path, capsys):
+    db = {"pkg": [42, {"id": "pyup.io-1", "specs": ["<1.0"], "cve": "CVE-BAD"}]}
+    db_path, snap_path = write_corpus(tmp_path, db, {"pkg": ["0.9", "1.0"]})
+    run_json(tmp_path, ["build", "--db", db_path, "--snapshot", snap_path])
+    err = capsys.readouterr().err
+    warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+    assert warnings == [
+        "warning: skipped pkg: entry-not-an-object (index 0)",
+        "warning: pkg/pyup.io-1: malformed-cve ('CVE-BAD')",
+    ]
+
+
 def test_build_package_filter(tmp_path):
     doc = run_json(
         tmp_path,

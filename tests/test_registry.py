@@ -232,6 +232,25 @@ def test_fetch_many_names_the_package_of_a_transport_failure():
     ]
 
 
+def test_bad_version_key_is_that_packages_bad_payload(tmp_path):
+    bodies = {
+        "good": payload({"1.0": [], "1.1": []}),
+        "bad": payload({"": [], "1.0": []}),
+    }
+
+    def transport(url):
+        return 200, bodies[url.split("/")[-2]]
+
+    for offline in (False, True):
+        client = PyPIClient(transport=transport, cache_dir=tmp_path, offline=offline, workers=2)
+        histories, _, failures = client.fetch_many(["bad", "good"])
+        assert [r.raw for r in histories["good"].releases] == ["1.0", "1.1"]
+        assert set(histories) == {"good"}
+        [failure] = failures
+        assert (failure.package, failure.reason) == ("bad", "bad-payload")
+        assert "'bad'" in failure.detail and "''" in failure.detail
+
+
 def test_snapshot_round_trip(tmp_path):
     history, _ = order_history(
         "pkg", [("1.0", "2020-01-01T00:00:00Z"), ("1.1", "2020-06-01T00:00:00Z")]
