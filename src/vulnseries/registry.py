@@ -15,6 +15,7 @@ so downstream stages are reproducible without any network at all.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -95,6 +96,8 @@ class ReleaseHistory:
 def order_history(
     package: str,
     entries: Iterable[tuple[str, str | None]],
+    *,
+    parse: Callable[[str], Version] | None = None,
 ) -> tuple[ReleaseHistory, tuple[str, ...]]:
     """Build an ordered history from (version string, upload time) pairs.
 
@@ -104,11 +107,13 @@ def order_history(
     the first one; each collapse is reported in the returned warnings.
     A version string that does not parse raises
     :class:`VersionParseError` naming the package and the string.
+    ``parse`` replaces :func:`parse_version`, for a caller's memo.
     """
+    parse = parse or parse_version
     parsed: list[Release] = []
     for raw, upload_time in entries:
         try:
-            parsed.append(Release(parse_version(raw), raw, upload_time))
+            parsed.append(Release(parse(raw), raw, upload_time))
         except VersionParseError as exc:
             raise VersionParseError(f"{package!r} lists version {raw!r}: {exc}") from None
 
@@ -169,6 +174,18 @@ def _earliest_upload(files: object) -> str | None:
             if isinstance(stamp, str) and stamp:
                 times.append(stamp)
     return min(times) if times else None
+
+
+def _history(
+    package: str, releases: dict, parse: Callable[[str], Version] | None
+) -> tuple[ReleaseHistory, tuple[str, ...]]:
+    entries = [(raw, _earliest_upload(files)) for raw, files in releases.items()]
+    if not entries:
+        raise PackageNotFoundError(f"package {package!r} has no published releases")
+    try:
+        return order_history(package, entries, parse=parse)
+    except VersionParseError as exc:
+        raise PayloadFormatError(str(exc)) from exc
 
 
 class PyPIClient:
@@ -240,17 +257,22 @@ class PyPIClient:
             last_error = TransportError(f"index returned HTTP {status} for {package!r}")
         raise last_error or TransportError(f"no response for {package!r}")
 
-    def _fetch_releases(self, package: str) -> dict:
-        """Return the payload's releases map, from cache when possible.
+    def fetch_history(
+        self, package: str, *, parse: Callable[[str], Version] | None = None
+    ) -> tuple[ReleaseHistory, tuple[str, ...]]:
+        """Fetch, parse, and order one package's release history.
 
-        Only a payload that parses as a releases map is cached.  Online, a
-        cached payload that fails to parse is fetched again; offline, it
-        raises :class:`PayloadFormatError`.
+        The payload comes from the cache when possible.  Only a payload
+        that parses as a releases map is cached.  One that cannot be
+        interpreted, including a releases map with a version key that does
+        not parse, is a :class:`PayloadFormatError`: online, a cached one
+        is fetched again; offline, the error is raised.  ``parse`` is
+        passed on to :func:`order_history`.
         """
         cached = self._cache_read(package)
         if cached is not None:
             try:
-                return _releases_map(package, cached)
+                return _history(package, _releases_map(package, cached), parse)
             except PayloadFormatError:
                 if self.offline:
                     raise
@@ -261,27 +283,7 @@ class PyPIClient:
         body = self._request(package)
         releases = _releases_map(package, body)
         self._cache_write(package, body)
-        return releases
-
-    def fetch_history(self, package: str) -> tuple[ReleaseHistory, tuple[str, ...]]:
-        """Fetch, parse, and order one package's release history.
-
-        A releases map with a version key that does not parse is a
-        :class:`PayloadFormatError`, like any other payload we cannot
-        interpret.
-        """
-        entries = [
-            (raw, _earliest_upload(files))
-            for raw, files in self._fetch_releases(package).items()
-        ]
-        if not entries:
-            raise PackageNotFoundError(
-                f"package {package!r} has no published releases"
-            )
-        try:
-            return order_history(package, entries)
-        except VersionParseError as exc:
-            raise PayloadFormatError(str(exc)) from exc
+        return _history(package, releases, parse)
 
     def fetch_many(
         self, packages: Sequence[str]
@@ -292,13 +294,20 @@ class PyPIClient:
         becomes an :class:`AttritionRecord` under the error's ``reason``
         code (``not-found``, ``transport``, ``offline-miss`` or
         ``bad-payload``).
+
+        The worker threads share one memo of :func:`parse_version`, so
+        each distinct version string in the batch is parsed once (a race
+        at worst parses one twice, into equal values).  The memo ends
+        with the call, so a long-lived process keeps no parsed versions
+        between batches and each batch costs what it would in a fresh one.
         """
         histories: dict[str, ReleaseHistory] = {}
         warnings: list[str] = []
         failures: list[AttritionRecord] = []
 
+        parse = functools.lru_cache(maxsize=None)(parse_version)
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            futures = [pool.submit(self.fetch_history, p) for p in packages]
+            futures = [pool.submit(self.fetch_history, p, parse=parse) for p in packages]
             for package, future in zip(packages, futures):
                 try:
                     history, history_warnings = future.result()
@@ -340,8 +349,14 @@ def load_snapshot(path: str | os.PathLike) -> dict[str, ReleaseHistory]:
     """Read a snapshot back into ordered histories.
 
     Versions are re-parsed but not re-sorted, so a snapshot round-trips
-    exactly; a history whose stored order is not strictly increasing is
-    a :class:`SnapshotSchemaError`.
+    exactly; a row whose version is not a non-empty string, or a history
+    whose stored order is not strictly increasing, is a
+    :class:`SnapshotSchemaError`.
+
+    Each distinct version string is parsed once, through a memo of
+    :func:`parse_version`, so equal strings share one :class:`Version`.
+    The memo ends with the call, so a long-lived process keeps no parsed
+    versions between loads and each load costs what it would in a fresh one.
     """
     target = Path(path)
     if not target.is_file():
@@ -358,6 +373,7 @@ def load_snapshot(path: str | os.PathLike) -> dict[str, ReleaseHistory]:
     raw_histories = doc.get("histories")
     if not isinstance(raw_histories, dict):
         raise SnapshotSchemaError(f"snapshot {target} has no histories map")
+    parse = functools.lru_cache(maxsize=None)(parse_version)
     histories: dict[str, ReleaseHistory] = {}
     for name, rows in raw_histories.items():
         if not isinstance(rows, list):
@@ -367,7 +383,12 @@ def load_snapshot(path: str | os.PathLike) -> dict[str, ReleaseHistory]:
             if not isinstance(row, dict) or "version" not in row:
                 raise SnapshotSchemaError(f"snapshot row for {name!r} is malformed")
             raw = row["version"]
-            release = Release(parse_version(raw), raw, row.get("upload_time"))
+            # Checked before the memo, which would reject an unhashable key.
+            if not isinstance(raw, str) or not raw.strip():
+                raise SnapshotSchemaError(
+                    f"snapshot row for {name!r} has no version string: {raw!r}"
+                )
+            release = Release(parse(raw), raw, row.get("upload_time"))
             if releases and releases[-1].version.sort_key >= release.version.sort_key:
                 raise SnapshotSchemaError(
                     f"snapshot history for {name!r}: {releases[-1].raw!r} is not before {raw!r}"

@@ -13,10 +13,11 @@ recorded with a reason so attrition stays accountable.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
-from typing import IO, Mapping, Union
+from typing import IO, Callable, Mapping, Union
 
 from .errors import AttritionRecord, DatabaseLoadError, SpecSyntaxError, VersionParseError
 from .versions import Version, canonical_string, parse_version
@@ -84,13 +85,15 @@ class DatabaseLoadResult:
         return sum(len(v) for v in self.advisories.values())
 
 
-def parse_spec(text: str) -> SpecClause:
+def parse_spec(text: str, *, parse: Callable[[str], Version] | None = None) -> SpecClause:
     """Parse one ``specs`` array element into a conjunction clause.
 
     Comma-separated tokens each carry an operator prefix and a version;
     a bare version means exact equality.  Unknown operator prefixes raise
     :class:`SpecSyntaxError` with the offending token attached.
+    ``parse`` replaces :func:`parse_version`, for a caller's memo.
     """
+    parse = parse or parse_version
     if not text.strip():
         raise SpecSyntaxError(text, "empty spec string")
     constraints = []
@@ -100,17 +103,17 @@ def parse_spec(text: str) -> SpecClause:
             raise SpecSyntaxError(token, "empty constraint token")
         for op in OPERATORS:
             if tok.startswith(op):
-                constraints.append(Constraint(op, parse_version(tok[len(op):].strip())))
+                constraints.append(Constraint(op, parse(tok[len(op):].strip())))
                 break
         else:
             if tok[0] in _OPERATOR_CHARS:
                 raise SpecSyntaxError(tok, "unknown operator")
-            constraints.append(Constraint("==", parse_version(tok)))
+            constraints.append(Constraint("==", parse(tok)))
     return SpecClause(tuple(constraints))
 
 
 def _parse_entry(
-    package: str, index: int, entry: object
+    package: str, index: int, entry: object, parse: Callable[[str], Version]
 ) -> AttritionRecord | tuple[Advisory, list[AttritionRecord]]:
     """The entry's advisory and warnings, or the record of why it is skipped."""
     if not isinstance(entry, dict):
@@ -136,7 +139,7 @@ def _parse_entry(
         if not isinstance(spec, str):
             return record("spec-not-a-string", repr(spec))
         try:
-            clauses.append(parse_spec(spec))
+            clauses.append(parse_spec(spec, parse=parse))
         except SpecSyntaxError as exc:
             return record("spec-syntax", str(exc))
         except VersionParseError as exc:
@@ -163,6 +166,11 @@ def load_database(source: Union[bytes, str, IO[bytes]]) -> DatabaseLoadResult:
 
     Top-level keys starting with ``$`` are metadata and skipped without a
     diagnostic.  Malformed JSON raises :class:`DatabaseLoadError`.
+
+    Each distinct spec version is parsed once, through a memo of
+    :func:`parse_version`, so equal strings share one :class:`Version`.
+    The memo ends with the call, so a long-lived process keeps no parsed
+    versions between loads and each load costs what it would in a fresh one.
     """
     raw = source.read() if hasattr(source, "read") else source
     try:
@@ -172,6 +180,7 @@ def load_database(source: Union[bytes, str, IO[bytes]]) -> DatabaseLoadResult:
     if not isinstance(doc, dict):
         raise DatabaseLoadError("database top level must be a JSON object keyed by package name")
 
+    parse = functools.lru_cache(maxsize=None)(parse_version)
     advisories: dict[str, tuple[Advisory, ...]] = {}
     skipped: list[AttritionRecord] = []
     warnings: list[AttritionRecord] = []
@@ -183,7 +192,7 @@ def load_database(source: Union[bytes, str, IO[bytes]]) -> DatabaseLoadResult:
             continue
         kept: list[Advisory] = []
         for index, entry in enumerate(entries):
-            result = _parse_entry(package, index, entry)
+            result = _parse_entry(package, index, entry, parse)
             if isinstance(result, AttritionRecord):
                 skipped.append(result)
             else:

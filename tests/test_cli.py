@@ -111,6 +111,21 @@ def test_corrupt_snapshot_is_a_data_error(tmp_path):
     assert cli.main(["build", "--db", DB, "--snapshot", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("version", [1.0, ["1.0"], None, ""])
+def test_snapshot_row_without_a_version_string_is_a_data_error(tmp_path, capsys, version):
+    bad = tmp_path / "snap.json"
+    rows = [{"version": version, "upload_time": None}]
+    bad.write_text(
+        json.dumps({"schema_version": 1, "histories": {"alphapkg": rows}}), encoding="utf-8"
+    )
+    for command in ("build", "markov", "forecast"):
+        assert cli.main([command, "--db", DB, "--snapshot", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        last = err.splitlines()[-1]
+        assert last.startswith("data error: snapshot row for 'alphapkg'")
+
+
 def test_bad_horizon_list_is_a_usage_error():
     assert cli.main(["forecast", "--db", DB, "--snapshot", SNAPSHOT, "--t", "5,x"]) == 1
     assert cli.main(["forecast", "--db", DB, "--snapshot", SNAPSHOT, "--t", "5,5"]) == 1

@@ -1,9 +1,15 @@
 """Release-history client: ordering, caching, retries, and snapshots."""
 
+import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from vulnseries.errors import (
     OfflineCacheMissError,
     PackageNotFoundError,
@@ -19,6 +25,9 @@ from vulnseries.registry import (
     order_history,
     save_snapshot,
 )
+from vulnseries.versions import Version, parse_version
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def payload(releases: dict) -> bytes:
@@ -251,6 +260,107 @@ def test_bad_version_key_is_that_packages_bad_payload(tmp_path):
         assert "'bad'" in failure.detail and "''" in failure.detail
 
 
+def test_stale_bad_payload_is_refetched_online(tmp_path):
+    bodies = {"bad": payload({"": [], "1.0": []})}
+
+    def transport(url):
+        return 200, bodies[url.split("/")[-2]]
+
+    client = PyPIClient(transport=transport, cache_dir=tmp_path)
+    _, _, [failure] = client.fetch_many(["bad"])
+    assert failure.reason == "bad-payload"
+    bodies["bad"] = payload({"0.9": [], "1.0": []})
+    offline = PyPIClient(transport=transport, cache_dir=tmp_path, offline=True)
+    _, _, [failure] = offline.fetch_many(["bad"])
+    assert failure.reason == "bad-payload"
+    histories, _, failures = client.fetch_many(["bad"])
+    assert not failures
+    assert [r.raw for r in histories["bad"].releases] == ["0.9", "1.0"]
+    histories, _, failures = offline.fetch_many(["bad"])
+    assert not failures and len(histories["bad"]) == 2
+
+
+def _fields(version):
+    return [getattr(version, f.name) for f in dataclasses.fields(Version)]
+
+
+# Keys that stress ordering and collapsing: equal spellings of one
+# version, local labels, legacy text, a "v" prefix, padding and blanks.
+_TRICKY_KEYS = (
+    "1.0", "1.0.0", "1", "v1.0", "V1.0", " 1.0 ", "1.0+9", "1.0+10", "1.0+abc",
+    "1.0+ubuntu.1", "1.0rc1", "1.0RC1", "1.0.post1", "1.0.dev0", "2!0.1", "foo-bar",
+    "Foo-Bar", "latest", "", "   ",
+)
+_STAMPS = (None, "2020-01-01T00:00:00Z", "2020-01-01T00:00:00Z", "2021-06-01T12:00:00Z")
+release_files = st.one_of(
+    st.sampled_from(_STAMPS).map(
+        lambda stamp: [] if stamp is None else [{"upload_time_iso_8601": stamp}]
+    ),
+    st.just("not a file list"),
+)
+release_maps = st.dictionaries(
+    st.one_of(st.sampled_from(_TRICKY_KEYS), oracles.version_texts()), release_files, max_size=8
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(release_maps, min_size=1, max_size=4))
+def test_fetched_histories_round_trip_through_a_snapshot(maps):
+    bodies = {f"pkg{i}": payload(releases) for i, releases in enumerate(maps)}
+
+    def transport(url):
+        return 200, bodies[url.split("/")[-2]]
+
+    client = PyPIClient(transport=transport, workers=2)
+    histories, _, failures = client.fetch_many(sorted(bodies))
+    assert sorted([*histories, *(f.package for f in failures)]) == sorted(bodies)
+    assert {f.reason for f in failures} <= {"not-found", "bad-payload"}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "snap.json"
+        save_snapshot(path, histories)
+        loaded = load_snapshot(path)
+
+    def rows(history):
+        return [(r.raw, r.upload_time, r.version.sort_key) for r in history.releases]
+
+    assert {name: rows(h) for name, h in loaded.items()} == {
+        name: rows(h) for name, h in histories.items()
+    }
+    # Both memos hand back exactly what a fresh parse of the raw string gives.
+    for history in [*histories.values(), *loaded.values()]:
+        for release in history.releases:
+            assert _fields(release.version) == _fields(parse_version(release.raw))
+
+
+def test_snapshot_load_parses_each_distinct_string_once(tmp_path):
+    spellings = {"a": ("1.0", "1.1"), "b": ("1.0", "1.1"), "c": ("1.0.0", "V1.1")}
+    histories = {
+        name: [{"version": v, "upload_time": None} for v in versions]
+        for name, versions in spellings.items()
+    }
+    path = tmp_path / "snap.json"
+    path.write_text(
+        json.dumps({"schema_version": 1, "histories": histories}), encoding="utf-8"
+    )
+    first, second = load_snapshot(path), load_snapshot(path)
+    for a, b in zip(first["a"].versions(), first["b"].versions()):
+        assert a is b
+    # Equal versions spelled differently are parsed apart.
+    for release in first["c"].releases:
+        assert _fields(release.version) == _fields(parse_version(release.raw))
+    # The memo lives for one call: a second load shares nothing with the first.
+    ids = {id(v) for h in first.values() for v in h.versions()}
+    assert ids.isdisjoint(id(v) for h in second.values() for v in h.versions())
+
+
+def test_loaded_fixture_versions_equal_fresh_parses_in_every_field():
+    histories = load_snapshot(FIXTURES / "snapshot_fixture.json")
+    releases = [r for h in histories.values() for r in h.releases]
+    assert releases
+    for release in releases:
+        assert _fields(release.version) == _fields(parse_version(release.raw))
+
+
 def test_snapshot_round_trip(tmp_path):
     history, _ = order_history(
         "pkg", [("1.0", "2020-01-01T00:00:00Z"), ("1.1", "2020-06-01T00:00:00Z")]
@@ -292,6 +402,17 @@ def test_corrupt_snapshots_raise_schema_error(tmp_path, doc):
     path = tmp_path / "snap.json"
     path.write_text(doc, encoding="utf-8")
     with pytest.raises(SnapshotSchemaError):
+        load_snapshot(path)
+
+
+@pytest.mark.parametrize("version", [1.0, ["1.0"], None, "", "   "])
+def test_snapshot_row_without_a_version_string_is_a_schema_error(tmp_path, version):
+    rows = [{"version": "0.9", "upload_time": None}, {"version": version, "upload_time": None}]
+    path = tmp_path / "snap.json"
+    path.write_text(
+        json.dumps({"schema_version": 1, "histories": {"pkg": rows}}), encoding="utf-8"
+    )
+    with pytest.raises(SnapshotSchemaError, match=r"'pkg' has no version string"):
         load_snapshot(path)
 
 

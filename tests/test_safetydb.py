@@ -1,7 +1,9 @@
 """Advisory database parsing: spec clauses, entries, and skip accounting."""
 
+import dataclasses
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,19 @@ from vulnseries.safetydb import (
     load_database_path,
     parse_spec,
 )
+from vulnseries.versions import Version, parse_version
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def spec_versions(result):
+    return [
+        constraint.version
+        for entries in result.advisories.values()
+        for advisory in entries
+        for clause in advisory.clauses
+        for constraint in clause.constraints
+    ]
 
 
 def test_single_upper_bound_clause():
@@ -181,3 +196,28 @@ def test_invalid_json_raises_load_error():
 def test_non_object_document_raises_load_error():
     with pytest.raises(DatabaseLoadError):
         load_database(json.dumps(["a", "b"]))
+
+
+def test_database_load_parses_each_distinct_spec_version_once():
+    doc = {
+        "a": [{"id": "a-1", "specs": ["<1.0", ">=1.0,<2.0"]}],
+        "b": [{"id": "b-1", "specs": ["==1.0"]}],
+    }
+    first, second = load_database(json.dumps(doc)), load_database(json.dumps(doc))
+    ones = [v for v in spec_versions(first) if v.raw == "1.0"]
+    assert len(ones) == 3 and all(v is ones[0] for v in ones)
+    # The memo lives for one call: a second load shares nothing with the first.
+    assert {id(v) for v in spec_versions(first)}.isdisjoint(
+        id(v) for v in spec_versions(second)
+    )
+
+
+def test_loaded_fixture_spec_versions_equal_fresh_parses_in_every_field():
+    versions = spec_versions(load_database_path(FIXTURES / "safetydb_fixture.json"))
+    assert versions
+
+    def fields(version):
+        return [getattr(version, f.name) for f in dataclasses.fields(Version)]
+
+    for version in versions:
+        assert fields(version) == fields(parse_version(version.raw))
