@@ -63,7 +63,6 @@ from .vectorize import (
 )
 from .markov import (
     CorpusSummary,
-    TransitionTable,
     corpus_summary,
     transition_probabilities,
     transition_table,
@@ -83,7 +82,6 @@ from .autologistic import (
     fit,
     forecast,
     naive_baseline,
-    predict,
     run_experiment,
     select_order,
     simulate,

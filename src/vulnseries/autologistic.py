@@ -41,6 +41,7 @@ from .errors import (
     SeparationError,
     SingularModelError,
 )
+from .markov import transition_counts
 from .vectorize import BinarySeries
 
 __all__ = [
@@ -55,7 +56,6 @@ __all__ = [
     "log_likelihood",
     "score",
     "fit",
-    "predict",
     "select_order",
     "max_order",
     "eligibility",
@@ -119,7 +119,6 @@ class ModelFit:
     separation_detected: bool = False
     ridge: bool = False
     iterations: int = 0
-    trace: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -240,19 +239,19 @@ def _irls(
     X: np.ndarray,
     y: np.ndarray,
     lam: float,
-) -> tuple[np.ndarray, float, bool, int, tuple[float, ...]]:
+) -> tuple[np.ndarray, float, bool, int]:
     """Maximize loglik − lam·‖beta‖² by damped Newton steps.
 
-    Returns (beta, objective, converged, iterations, trace); the trace
-    holds the objective at the start and after every accepted step.
-    With lam = 0 two conditions raise :class:`SeparationError`: a
-    coefficient running past the separation bound while the likelihood
-    still improves (complete separation inflates coefficients fast), and
-    a converged solution whose likelihood still strictly increases when
-    a large coefficient is pushed further out (quasi-complete
-    separation stalls the step size before the bound, but concavity
-    makes the outward probe a sound divergence witness).  A singular
-    weighted system raises :class:`SingularModelError`.
+    Returns (beta, objective, converged, iterations); no accepted step
+    lowers the objective.  With lam = 0 two conditions raise
+    :class:`SeparationError`: a coefficient running past the separation
+    bound while the likelihood still improves (complete separation
+    inflates coefficients fast), and a converged solution whose
+    likelihood still strictly increases when a large coefficient is
+    pushed further out (quasi-complete separation stalls the step size
+    before the bound, but concavity makes the outward probe a sound
+    divergence witness).  A singular weighted system raises
+    :class:`SingularModelError`.
     """
     beta = np.zeros(X.shape[1])
 
@@ -265,7 +264,6 @@ def _irls(
         return p, _gradient(X, y, p) - 2.0 * lam * b
 
     current, eta = objective(beta)
-    trace = [current]
     p, gradient = slope(beta, eta)
     converged = False
     iterations = 0
@@ -295,7 +293,6 @@ def _irls(
             )
         improvement = value - current
         beta, current = candidate, value
-        trace.append(current)
         p, gradient = slope(beta, eta)
         if improvement < LOGLIK_TOL and np.abs(gradient).max() < GRADIENT_TOL:
             converged = True
@@ -311,12 +308,10 @@ def _irls(
                     "perfect separation: the likelihood is monotone in a "
                     f"coefficient ({beta[j]:.1f} and still growing)"
                 )
-    return beta, current, converged, iterations, tuple(trace)
+    return beta, current, converged, iterations
 
 
-def _markov_mle(
-    X: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, float, bool, int, tuple[float, ...]] | None:
+def _markov_mle(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool, int] | None:
     """The order-1 MLE in closed form, as ``_irls`` would report it.
 
     An order-1 design over 0/1 values has two distinct rows, so the
@@ -332,13 +327,13 @@ def _markov_mle(
     lag = X[:, 1]
     if not (((lag == 0) | (lag == 1)).all() and ((y == 0) | (y == 1)).all()):
         return None
-    n00, n01, n10, n11 = np.bincount((2 * lag + y).astype(np.intp), minlength=4).tolist()
+    (n00, n01), (n10, n11) = transition_counts(lag, y)
     if not (n00 and n01 and n10 and n11):
         return None
     b0 = math.log(n01 / n00)
     beta = np.array([b0, math.log(n11 / n10) - b0])
     value = _loglik(y, X @ beta)
-    return beta, value, True, 0, (value,)
+    return beta, value, True, 0
 
 
 def fit(
@@ -349,8 +344,8 @@ def fit(
     """Maximum-likelihood fit of the order-l autologistic coefficients.
 
     An order-1 design over 0/1 values whose four transition counts are
-    all positive is fit in closed form (``iterations=0`` and a one-entry
-    ``trace``); every other design is fit by damped Newton iterations.
+    all positive is fit in closed form (``iterations=0``); every other
+    design is fit by damped Newton iterations.
     Constant responses and perfect separation raise
     :class:`SeparationError`, and a singular weighted system raises
     :class:`SingularModelError`, unless ``ridge_fallback`` is set: then
@@ -367,12 +362,12 @@ def fit(
     try:
         if np.all(y == y[0]):
             raise SeparationError("responses are constant; likelihood is unbounded")
-        beta, value, converged, iterations, trace = _markov_mle(X, y) or _irls(X, y, 0.0)
+        beta, value, converged, iterations = _markov_mle(X, y) or _irls(X, y, 0.0)
     except (SeparationError, SingularModelError) as exc:
         if not ridge_fallback:
             raise
         separation, ridge = isinstance(exc, SeparationError), True
-        beta, _, converged, iterations, trace = _irls(X, y, RIDGE_LAMBDA)
+        beta, _, converged, iterations = _irls(X, y, RIDGE_LAMBDA)
         value = _loglik(y, X @ beta)
     return ModelFit(
         beta=tuple(float(b) for b in beta),
@@ -383,7 +378,6 @@ def fit(
         separation_detected=separation,
         ridge=ridge,
         iterations=iterations,
-        trace=trace,
     )
 
 
@@ -392,14 +386,6 @@ def _logistic(eta: float) -> float:
         return 1.0 / (1.0 + math.exp(-eta))
     expeta = math.exp(eta)
     return expeta / (1.0 + expeta)
-
-
-def predict(model: ModelFit, lags: Sequence[int]) -> float:
-    """Conditional probability of a 1 given the lagged values."""
-    if len(lags) != model.order:
-        raise ValueError(f"expected {model.order} lags, got {len(lags)}")
-    eta = model.beta[0] + sum(b * x for b, x in zip(model.beta[1:], lags))
-    return _logistic(eta)
 
 
 def max_order(r: int, fraction: float = 0.1) -> int:
@@ -485,16 +471,14 @@ def eligibility(
     return Eligibility(True, None, r, window, std)
 
 
-def threshold_accuracy(
-    probs: Sequence[float], actuals: Sequence[int], threshold: float = 0.5
-) -> float:
-    """Share of positions where thresholding the probability hits the value."""
+def threshold_accuracy(probs: Sequence[float], actuals: Sequence[int]) -> float:
+    """Share of positions where the probability is at least 1/2 exactly when the value is 1."""
     if len(probs) != len(actuals):
         raise ValueError("probabilities and actuals differ in length")
-    if not probs:
+    if not len(probs):
         raise ValueError("nothing to score")
-    hits = sum(1 for p, a in zip(probs, actuals) if (p >= threshold) == bool(a))
-    return hits / len(probs)
+    hits = np.count_nonzero((np.asarray(probs) >= 0.5) == (np.asarray(actuals) != 0))
+    return int(hits) / len(probs)
 
 
 def naive_baseline(w: BinarySeries, t: int, tie_value: int = 1) -> float:
@@ -547,7 +531,6 @@ def forecast(
         raise ForecastError(f"{w.package!r}: training fit failed: {exc}") from exc
     test = _lag_design(w.values, order, r - t)
     p = _sigmoid(test.X @ np.asarray(model.beta))
-    probs, actuals = p.tolist(), test.y.tolist()
     abs_errors = tuple(np.abs(test.y - p).tolist())
     flags = []
     if model.ridge:
@@ -564,7 +547,7 @@ def forecast(
         mean_abs_error=statistics.fmean(abs_errors),
         median_abs_error=statistics.median(abs_errors),
         max_abs_error=max(abs_errors),
-        accuracy=threshold_accuracy(probs, actuals),
+        accuracy=threshold_accuracy(p, test.y),
         naive_accuracy=naive_baseline(w, t, tie_value),
         converged=model.converged,
         flags=tuple(flags),

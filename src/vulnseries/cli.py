@@ -190,6 +190,8 @@ def _load_corpus(args: argparse.Namespace) -> vectorize.Corpus:
 
 def cmd_ingest(args: argparse.Namespace, transport=None) -> int:
     db = _load_db(args)
+    if not args.snapshot:
+        raise _UsageError("a snapshot output path is required (--snapshot)")
     packages = sorted(_filter_packages(db, args.packages))
     client = registry.PyPIClient(
         transport=transport,
@@ -216,8 +218,6 @@ def cmd_ingest(args: argparse.Namespace, transport=None) -> int:
             file=sys.stderr,
         )
         return EXIT_DATA
-    if not args.snapshot:
-        raise _UsageError("a snapshot output path is required (--snapshot)")
     registry.save_snapshot(args.snapshot, histories)
     missing = len(failures) - len(hard) - len(payload_bad)
     print(
@@ -262,45 +262,26 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_markov(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args)
     series = corpus.series()
-    if not series:
-        if args.format == "json":
-            doc = {
-                "meta": {"command": "markov", "alpha": args.alpha},
-                "records": [],
-                "note": "corpus is empty",
-            }
-            _write_json(doc, args, args.out)
-        else:
-            _write_csv(_MARKOV_COLUMNS, [], args, args.out)
-        return EXIT_OK
-    summary = markov.corpus_summary(series, alpha=args.alpha)
-    records = _rows(summary.records, _MARKOV_COLUMNS)
-    stats = {
-        "releases": summary.release_stats,
-        "p_uncond": summary.uncond_stats,
-        "p_11": summary.p11_stats,
-        "p_00": summary.p00_stats,
-    }
-    histogram_rows = [
-        {"metric": metric, "bin_left": left, "bin_right": right, "count": count}
-        for metric, bins in sorted(summary.histograms.items())
-        for left, right, count in bins
-    ]
+    if series:
+        summary = markov.corpus_summary(series, alpha=args.alpha)
+        records = _rows(summary.records, _MARKOV_COLUMNS)
+        stats = summary.stats
+        histogram_rows = [
+            {"metric": metric, "bin_left": left, "bin_right": right, "count": count}
+            for metric, bins in sorted(summary.histograms.items())
+            for left, right, count in bins
+        ]
+        body = {"stats": stats, "histograms": histogram_rows}
+    else:
+        records, stats, histogram_rows = [], {}, []
+        body = {"note": "corpus is empty"}
     if args.format == "json":
-        doc = {
-            "meta": {"command": "markov", "alpha": args.alpha, "strict": args.strict},
-            "records": records,
-            "stats": stats,
-            "histograms": histogram_rows,
-        }
-        _write_json(doc, args, args.out)
+        meta = {"command": "markov", "alpha": args.alpha, "strict": args.strict}
+        _write_json({"meta": meta, "records": records, **body}, args, args.out)
     else:
         _write_csv(_MARKOV_COLUMNS, records, args, args.out)
         if args.summary_out:
-            stat_rows = [
-                {"metric": metric, **{k: v for k, v in body.items()}}
-                for metric, body in stats.items()
-            ]
+            stat_rows = [{"metric": metric, **row} for metric, row in stats.items()]
             _write_csv(
                 ["metric", "n", "mean", "median", "q1", "q3", "min", "max"],
                 stat_rows,

@@ -1,7 +1,7 @@
 """Unconditional and first-order transition probabilities for binary series.
 
 The unconditional probability of a package is simply the mean of its 0/1
-series.  Transition analysis walks consecutive release pairs into a 2x2
+series.  Transition analysis counts consecutive release pairs into a 2x2
 contingency table and normalizes each row; a state that never occurs as
 a source yields an explicitly undefined row (None entries) instead of
 NaNs.  Corpus-level summaries collect per-package records together with
@@ -15,30 +15,21 @@ import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import InsufficientDataError
 from .vectorize import BinarySeries
 
 __all__ = [
-    "TransitionTable",
     "PackageStats",
     "CorpusSummary",
     "unconditional_probability",
+    "transition_counts",
     "transition_table",
     "transition_probabilities",
     "corpus_summary",
     "histogram",
 ]
-
-
-@dataclass(frozen=True)
-class TransitionTable:
-    """Counts over consecutive pairs, indexed [from-state][to-state]."""
-
-    counts: tuple[tuple[int, int], tuple[int, int]]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts[0]) + sum(self.counts[1])
 
 
 @dataclass(frozen=True)
@@ -62,13 +53,14 @@ class PackageStats:
 
 @dataclass(frozen=True)
 class CorpusSummary:
-    """Per-package records plus corpus-level distribution statistics."""
+    """Per-package records plus corpus-level distribution statistics.
+
+    ``stats`` and ``histograms`` share their keys: ``releases``,
+    ``p_uncond``, ``p_11`` and ``p_00``.
+    """
 
     records: tuple[PackageStats, ...]
-    release_stats: dict
-    uncond_stats: dict
-    p11_stats: dict
-    p00_stats: dict
+    stats: dict
     histograms: dict
 
 
@@ -79,20 +71,27 @@ def unconditional_probability(w: BinarySeries) -> float:
     return sum(w.values) / len(w.values)
 
 
-def transition_table(w: BinarySeries) -> TransitionTable:
-    """Count the consecutive (previous, current) state pairs."""
+def transition_counts(
+    previous: Sequence[int], current: Sequence[int]
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Count aligned 0/1 (previous, current) pairs as ``((n00, n01), (n10, n11))``."""
+    codes = 2 * np.asarray(previous, dtype=np.intp) + np.asarray(current, dtype=np.intp)
+    n00, n01, n10, n11 = np.bincount(codes, minlength=4).tolist()
+    return (n00, n01), (n10, n11)
+
+
+def transition_table(w: BinarySeries) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Count the consecutive (previous, current) state pairs, indexed [from][to]."""
     if len(w.values) < 2:
         raise InsufficientDataError(
             f"{w.package!r} has {len(w.values)} releases; transitions need 2"
         )
-    counts = [[0, 0], [0, 0]]
-    for previous, current in zip(w.values, w.values[1:]):
-        counts[previous][current] += 1
-    return TransitionTable(tuple(tuple(row) for row in counts))
+    values = np.asarray(w.values, dtype=np.intp)
+    return transition_counts(values[:-1], values[1:])
 
 
 def transition_probabilities(
-    table: TransitionTable, alpha: float = 0.0
+    table: tuple[tuple[int, int], tuple[int, int]], alpha: float = 0.0
 ) -> tuple[tuple[float | None, float | None], tuple[float | None, float | None]]:
     """Row-normalize the table into conditional probabilities.
 
@@ -101,7 +100,7 @@ def transition_probabilities(
     smoothing, which also makes empty rows defined (uniform).
     """
     rows = []
-    for row in table.counts:
+    for row in table:
         denominator = sum(row) + 2 * alpha
         if denominator == 0:
             rows.append((None, None))
@@ -132,21 +131,16 @@ def _describe(values: Sequence[float]) -> dict:
 def histogram(
     values: Sequence[float], edges: Sequence[float]
 ) -> tuple[tuple[float, float, int], ...]:
-    """Bin values into (left, right, count) rows.
+    """Bin values into (left, right, count) rows over increasing edges.
 
     Bins are left-inclusive and right-exclusive, except that the final
-    bin also includes its right edge so the maximum is never lost.
+    bin also includes its right edge so the maximum is never lost;
+    values outside the edges are dropped.
     """
     if len(edges) < 2:
         raise ValueError("need at least two bin edges")
-    bins = [[edges[i], edges[i + 1], 0] for i in range(len(edges) - 1)]
-    last = len(bins) - 1
-    for value in values:
-        for i, (left, right, _) in enumerate(bins):
-            if left <= value < right or (i == last and value == right):
-                bins[i][2] += 1
-                break
-    return tuple((left, right, count) for left, right, count in bins)
+    counts, _ = np.histogram(values, bins=edges)
+    return tuple(zip(edges[:-1], edges[1:], counts.tolist()))
 
 
 def _release_edges(max_r: int) -> list[float]:
@@ -181,21 +175,18 @@ def corpus_summary(series: Sequence[BinarySeries], alpha: float = 0.0) -> Corpus
         )
     records.sort(key=lambda rec: rec.package)
     release_counts = [rec.r for rec in records]
-    unconds = [rec.p_uncond for rec in records]
-    p11s = [rec.p_11 for rec in records if rec.p_11 is not None]
-    p00s = [rec.p_00 for rec in records if rec.p_00 is not None]
     prob_edges = [i / 10 for i in range(11)]
-    histograms = {
-        "releases": histogram(release_counts, _release_edges(max(release_counts))),
-        "p_uncond": histogram(unconds, prob_edges),
-        "p_11": histogram(p11s, prob_edges) if p11s else (),
-        "p_00": histogram(p00s, prob_edges) if p00s else (),
+    columns = {
+        "releases": (release_counts, _release_edges(max(release_counts))),
+        "p_uncond": ([rec.p_uncond for rec in records], prob_edges),
+        "p_11": ([rec.p_11 for rec in records if rec.p_11 is not None], prob_edges),
+        "p_00": ([rec.p_00 for rec in records if rec.p_00 is not None], prob_edges),
     }
     return CorpusSummary(
         records=tuple(records),
-        release_stats=_describe(release_counts),
-        uncond_stats=_describe(unconds),
-        p11_stats=_describe(p11s),
-        p00_stats=_describe(p00s),
-        histograms=histograms,
+        stats={key: _describe(values) for key, (values, _) in columns.items()},
+        histograms={
+            key: histogram(values, edges) if values else ()
+            for key, (values, edges) in columns.items()
+        },
     )

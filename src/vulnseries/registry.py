@@ -15,6 +15,7 @@ so downstream stages are reproducible without any network at all.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -24,7 +25,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     AttritionRecord,
@@ -188,6 +189,25 @@ def _history(
         raise PayloadFormatError(str(exc)) from exc
 
 
+@contextlib.contextmanager
+def _atomic_file(path: Path, mode: str, encoding: str | None = None) -> Iterator[IO]:
+    """Open a temporary file beside ``path``; rename it over ``path`` when the block ends.
+
+    A snapshot streams into it without a second copy in memory; on any
+    error the temporary file is removed and ``path`` is left as it was.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, mode, encoding=encoding) as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 class PyPIClient:
     """Fetches release histories, with retries, caching, and offline mode."""
 
@@ -224,18 +244,9 @@ class PyPIClient:
 
     def _cache_write(self, package: str, payload: bytes) -> None:
         path = self._cache_path(package)
-        if path is None:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
+        if path is not None:
+            with _atomic_file(path, "wb") as handle:
                 handle.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
 
     # -- fetching ------------------------------------------------------
 
@@ -331,18 +342,9 @@ def save_snapshot(path: str | os.PathLike, histories: Mapping[str, ReleaseHistor
             for name, history in sorted(histories.items())
         },
     }
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with _atomic_file(Path(path), "w", encoding="utf-8") as handle:
+        json.dump(doc, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def load_snapshot(path: str | os.PathLike) -> dict[str, ReleaseHistory]:

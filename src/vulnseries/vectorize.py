@@ -62,7 +62,6 @@ class PackageResult:
     """One package's per-release advisory counts, series and advisories."""
 
     package: str
-    history_length: int
     advisory_ids: tuple[str, ...]
     counts: tuple[int, ...]
     series: BinarySeries
@@ -243,7 +242,6 @@ def build_corpus(
         results.append(
             PackageResult(
                 package=package,
-                history_length=len(history.releases),
                 advisory_ids=tuple(advisory_ids),
                 counts=counts,
                 series=series,
@@ -266,7 +264,7 @@ def corpus_rows(corpus: Corpus) -> list[dict]:
         rows.append(
             {
                 "package": result.package,
-                "r": result.history_length,
+                "r": len(result.counts),
                 "m": len(result.advisory_ids),
                 "w": "".join(str(v) for v in result.series.values),
                 "counts": list(result.counts),

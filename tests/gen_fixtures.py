@@ -356,7 +356,8 @@ def build_tree(
     return db_path, snap_path, ref_bytes, cli_bytes
 
 
-def main() -> int:
+def main(out_dir: Path = FIXTURES) -> int:
+    """Search for the fixture corpus and write its three files into ``out_dir``."""
     echo_values = find_echo()
     alphas = find_candidates(30, range(0, 500))
     brights = find_candidates(40, range(500, 1000))
@@ -384,10 +385,10 @@ def main() -> int:
                     ("echopkg", 5, "low-training-variance"),
                     ("echopkg", 10, "low-training-variance"),
                 }, reasons
-                FIXTURES.mkdir(exist_ok=True)
-                (FIXTURES / "safetydb_fixture.json").write_bytes(db_path.read_bytes())
-                (FIXTURES / "snapshot_fixture.json").write_bytes(snap_path.read_bytes())
-                (FIXTURES / "expected_forecast.json").write_bytes(ref_bytes)
+                out_dir.mkdir(exist_ok=True)
+                (out_dir / "safetydb_fixture.json").write_bytes(db_path.read_bytes())
+                (out_dir / "snapshot_fixture.json").write_bytes(snap_path.read_bytes())
+                (out_dir / "expected_forecast.json").write_bytes(ref_bytes)
                 print(f"frozen: alphapkg seed {a_seed}, brightpkg seed {b_seed}")
                 print(f"orders: {[(r['package'], r['order']) for r in doc['orders']]}")
                 return 0

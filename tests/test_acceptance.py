@@ -130,7 +130,7 @@ def test_criterion_3_markov_counts_match_brute_force():
         brute = [[0, 0], [0, 0]]
         for a, b in zip(values, values[1:]):
             brute[a][b] += 1
-        assert [list(row) for row in table.counts] == brute
+        assert [list(row) for row in table] == brute
         probabilities = markov.transition_probabilities(table)
         for row in probabilities:
             if row[0] is None:

@@ -21,7 +21,6 @@ from vulnseries.autologistic import (
     log_likelihood,
     max_order,
     naive_baseline,
-    predict,
     run_experiment,
     score,
     select_order,
@@ -74,20 +73,6 @@ def test_design_validation_rejects_ragged_rows():
 
 
 # --- prediction and likelihood ------------------------------------------
-
-
-def test_predict_is_the_logistic_of_the_linear_form():
-    model_like = fit(build_lag_design(series([0, 1, 0, 1, 1, 0, 0, 1, 1, 1, 0]), 1))
-    assert 0.0 < predict(model_like, [1]) < 1.0
-
-    class Stub:
-        beta = (0.0, 2.0)
-        order = 1
-
-    assert predict(Stub(), [1]) == pytest.approx(0.8807970779778823)
-    assert predict(Stub(), [0]) == 0.5
-    with pytest.raises(ValueError):
-        predict(Stub(), [1, 0])
 
 
 def test_log_likelihood_matches_direct_formula():
@@ -153,13 +138,20 @@ def test_aic_identity_holds_on_every_fit():
         assert model.aic == pytest.approx(2.0 * (order + 1) - 2.0 * model.loglik)
 
 
-def test_objective_trace_is_monotone():
+def test_objective_trace_is_monotone(monkeypatch):
     rng = random.Random(31)
     values = simulate((-0.5, 1.5), 100, rng)
-    # Order 2: an order-1 fit is exact, with a one-entry trace.
-    model = fit(build_lag_design(series(values), 2))
-    trace = model.trace
-    assert len(trace) >= 2
+    # Order 2: an order-1 fit is exact, without iterations.  Capping the
+    # iterations at 0, 1, ..., k replays the objective path step by step.
+    design = build_lag_design(series(values), 2)
+    model = fit(design)
+    assert model.converged and model.iterations >= 2
+    trace = []
+    for cap in range(model.iterations + 1):
+        monkeypatch.setattr(autologistic, "MAX_ITERATIONS", cap)
+        trace.append(fit(design).loglik)
+    assert trace[0] == pytest.approx(design.n * math.log(0.5))
+    assert trace[-1] == model.loglik
     assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
 
 
@@ -190,7 +182,7 @@ def test_order_one_fits_are_the_markov_chain_mle(monkeypatch):
             assert model == reference
             continue
         closed_forms += 1
-        assert (model.converged, model.iterations, model.trace) == (True, 0, (model.loglik,))
+        assert (model.converged, model.iterations) == (True, 0)
         assert isinstance(reference, ModelFit) and reference.converged
         assert model.aic == pytest.approx(reference.aic, abs=1e-6)
         n00, n01, n10, n11 = cells
@@ -436,7 +428,8 @@ def test_forecast_predictions_condition_on_actual_lags():
     report = forecast(w, t=10, order=1)
     for offset, err in enumerate(report.abs_errors):
         i = r - 10 + offset
-        prob = predict(model, [w.values[i - 1]])
+        eta = model.beta[0] + model.beta[1] * w.values[i - 1]
+        prob = 1.0 / (1.0 + math.exp(-eta))
         assert err == pytest.approx(abs(w.values[i] - prob))
 
 

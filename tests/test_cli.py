@@ -396,6 +396,28 @@ def test_markov_empty_corpus_notes_it(tmp_path):
     doc = run_json(tmp_path, ["markov", "--db", db_path, "--snapshot", snap_path])
     assert doc["records"] == []
     assert doc["note"] == "corpus is empty"
+    assert doc["meta"] == {"command": "markov", "alpha": 0.0, "strict": False}
+    out = tmp_path / "records.csv"
+    summary_out = tmp_path / "summary.csv"
+    histogram_out = tmp_path / "bins.csv"
+    code = cli.main(
+        [
+            "markov",
+            "--db", db_path,
+            "--snapshot", snap_path,
+            "--format", "csv",
+            "--no-timestamp",
+            "--out", str(out),
+            "--summary-out", str(summary_out),
+            "--histogram-out", str(histogram_out),
+        ]
+    )
+    assert code == 0
+    assert out.read_text(encoding="utf-8") == (
+        "package,r,p_uncond,p_11,p_00,p_11_defined,p_00_defined\n"
+    )
+    assert summary_out.read_text(encoding="utf-8") == "metric,n,mean,median,q1,q3,min,max\n"
+    assert histogram_out.read_text(encoding="utf-8") == "metric,bin_left,bin_right,count\n"
 
 
 # -- forecast ---------------------------------------------------------------
@@ -644,7 +666,12 @@ def test_ingest_offline_serves_from_a_warm_cache(tmp_path):
 
 def test_ingest_requires_a_snapshot_path(tmp_path):
     db_path = ingest_db(tmp_path, ["aaa"])
+    cache = tmp_path / "cache"
     transport = make_transport(
         {"aaa": (200, payload_for([("1.0", "2021-01-01T00:00:00Z")]))}
     )
-    assert cli.main(["ingest", "--db", db_path], transport=transport) == 1
+    argv = ["ingest", "--db", db_path, "--cache", str(cache)]
+    assert cli.main(argv, transport=transport) == 1
+    # The usage error comes before any fetch: nothing is requested or cached.
+    assert transport.calls == []
+    assert not cache.exists()

@@ -137,7 +137,7 @@ def test_build_corpus_happy_path_and_row_export():
     doc = {"pkg": [{"id": "A", "specs": ["<1.2"]}, {"id": "B", "specs": ["==1.6"]}]}
     corpus = corpus_from(doc, {"pkg": TEN})
     result = only_package(corpus)
-    assert result.history_length == 10
+    assert len(result.counts) == 10
     assert result.advisory_ids == ("A", "B")
     assert result.series.values == (1, 1, 0, 0, 0, 0, 0, 1, 0, 0)
     (row,) = corpus_rows(corpus)
