@@ -16,9 +16,9 @@ stored log-likelihood stays unpenalized; AIC is then approximate and
 the fit is flagged).
 
 Model order is chosen per package as the AIC minimizer over orders
-1 ... floor(0.1 * r).  The forecast experiment fits on a training prefix
-and scores one-step-ahead probabilities for the last t releases against
-a majority-vote baseline.
+1 ... floor(MAX_ORDER_FRACTION * r).  The forecast experiment fits on a
+training prefix and scores one-step-ahead probabilities for the last t
+releases against a majority-vote baseline.
 """
 
 from __future__ import annotations
@@ -75,6 +75,12 @@ SEPARATION_PROBE_BOUND = 10.0
 SEPARATION_PROBE_STEP = 5.0
 RIDGE_LAMBDA = 1e-4
 PARSIMONY_MARGIN = 4.0
+# The forecast study's defaults; the CLI flags take theirs from here.
+HORIZONS = (5, 10)
+MIN_RELEASES = 25
+MIN_STD = 0.25
+MAX_ORDER_FRACTION = 0.1
+TIE_VALUE = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,7 +394,7 @@ def _logistic(eta: float) -> float:
     return expeta / (1.0 + expeta)
 
 
-def max_order(r: int, fraction: float = 0.1) -> int:
+def max_order(r: int, fraction: float = MAX_ORDER_FRACTION) -> int:
     """Largest candidate order for a series of length r."""
     return int(math.floor(fraction * r))
 
@@ -396,7 +402,7 @@ def max_order(r: int, fraction: float = 0.1) -> int:
 def select_order(
     w: BinarySeries,
     *,
-    max_order_fraction: float = 0.1,
+    max_order_fraction: float = MAX_ORDER_FRACTION,
     ridge_fallback: bool = False,
     parsimony_margin: float = PARSIMONY_MARGIN,
 ) -> OrderSelection:
@@ -453,8 +459,8 @@ def eligibility(
     t: int,
     order: int,
     *,
-    min_releases: int = 25,
-    min_std: float = 0.25,
+    min_releases: int = MIN_RELEASES,
+    min_std: float = MIN_STD,
 ) -> Eligibility:
     """Apply the length and training-variance filters for one horizon."""
     r = len(w.values)
@@ -481,11 +487,11 @@ def threshold_accuracy(probs: Sequence[float], actuals: Sequence[int]) -> float:
     return int(hits) / len(probs)
 
 
-def naive_baseline(w: BinarySeries, t: int, tie_value: int = 1) -> float:
+def naive_baseline(w: BinarySeries, t: int, tie_value: int = TIE_VALUE) -> float:
     """Accuracy of predicting the training prefix's majority state.
 
-    An exactly tied prefix predicts ``tie_value`` (1 by default: assume
-    vulnerable when in doubt).
+    An exactly tied prefix predicts ``tie_value``; the default
+    ``TIE_VALUE`` assumes vulnerable when in doubt.
     """
     r = len(w.values)
     if t < 1 or r <= t:
@@ -507,11 +513,11 @@ def forecast(
     t: int,
     order: int,
     *,
-    min_releases: int = 25,
-    min_std: float = 0.25,
+    min_releases: int = MIN_RELEASES,
+    min_std: float = MIN_STD,
     ridge_fallback: bool = False,
     full_sample: bool = False,
-    tie_value: int = 1,
+    tie_value: int = TIE_VALUE,
 ) -> ForecastReport:
     """One-step-ahead forecasts for the last t releases.
 
@@ -580,15 +586,15 @@ def experiment_summary(
 
 def run_experiment(
     series: Sequence[BinarySeries],
-    horizons: Sequence[int] = (5, 10),
+    horizons: Sequence[int] = HORIZONS,
     *,
-    min_releases: int = 25,
-    min_std: float = 0.25,
-    max_order_fraction: float = 0.1,
+    min_releases: int = MIN_RELEASES,
+    min_std: float = MIN_STD,
+    max_order_fraction: float = MAX_ORDER_FRACTION,
     parsimony_margin: float = PARSIMONY_MARGIN,
     ridge_fallback: bool = False,
     full_sample: bool = False,
-    tie_value: int = 1,
+    tie_value: int = TIE_VALUE,
 ) -> ExperimentResult:
     """Select orders, filter, forecast, and summarize a whole corpus."""
     reports: list[ForecastReport] = []

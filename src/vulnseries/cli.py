@@ -6,10 +6,10 @@ missing files, IO).  Outputs are deterministic: floats are rounded to
 six decimals, JSON keys are sorted, and the timestamp field/line can be
 suppressed with --no-timestamp so identical inputs give identical bytes.
 
-All experiment constants are flags with the documented defaults, never
-hard-coded, so sensitivity runs need no code changes.  Each flag is
-declared once, in :func:`build_parser`: its ``type=`` converter validates
-it, and the parsed namespace is the run configuration the handlers read.
+Experiment constants are flags defaulting to :mod:`autologistic`'s
+constants.  Each flag is declared once, in :func:`build_parser`: its
+``type=`` converter validates it, the parsed namespace is the run
+configuration, and a subcommand takes only the flags its handler reads.
 """
 
 from __future__ import annotations
@@ -26,13 +26,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import autologistic, markov, registry, safetydb, vectorize
-from .errors import (
-    AttritionRecord,
-    OfflineCacheMissError,
-    SnapshotNotFoundError,
-    TransportError,
-    VulnseriesError,
-)
+from .errors import AttritionRecord, SnapshotNotFoundError, VulnseriesError
 
 __all__ = ["main", "build_parser"]
 
@@ -110,10 +104,26 @@ def _write_csv(
     _emit(buffer.getvalue(), path)
 
 
+def _write_outputs(args: argparse.Namespace, doc: dict, table: tuple, *sides: tuple) -> None:
+    """Write ``doc`` (``--format json``) or the main ``(columns, rows)``
+    table (``csv``) to ``--out``, then each requested ``(path, columns,
+    rows)`` side table as CSV in either format."""
+    if args.format == "json":
+        _write_json(doc, args, args.out)
+    else:
+        _write_csv(*table, args, args.out)
+    for path, columns, rows in sides:
+        if path:
+            _write_csv(columns, rows, args, path)
+
+
 # One column tuple per output table: the JSON row keys and the CSV header.
 _ATTRITION_COLUMNS = ("package", "advisory_id", "reason", "detail")
 _ATTRITION_KINDS = ("clause_drops", "advisory_drops", "package_drops", "flags")
+_CORPUS_COLUMNS = ("package", "r", "m", "w", "counts")
 _MARKOV_COLUMNS = ("package", "r", "p_uncond", "p_11", "p_00", "p_11_defined", "p_00_defined")
+_STAT_COLUMNS = ("metric", "n", "mean", "median", "q1", "q3", "min", "max")
+_HISTOGRAM_COLUMNS = ("metric", "bin_left", "bin_right", "count")
 _REPORT_COLUMNS = (
     "package",
     "t",
@@ -157,8 +167,6 @@ def _entry(record: AttritionRecord) -> str:
 
 
 def _load_db(args: argparse.Namespace) -> safetydb.DatabaseLoadResult:
-    if not args.db:
-        raise _UsageError("a database path is required (--db)")
     result = safetydb.load_database_path(args.db)
     for record in result.skipped:
         _warn(f"skipped {_entry(record)}: {record.reason} ({record.detail})")
@@ -178,8 +186,6 @@ def _filter_packages(
 
 def _load_corpus(args: argparse.Namespace) -> vectorize.Corpus:
     db = _load_db(args)
-    if not args.snapshot:
-        raise _UsageError("a snapshot path is required (--snapshot)")
     histories = registry.load_snapshot(args.snapshot)
     advisories = _filter_packages(db, args.packages)
     return vectorize.build_corpus(advisories, histories, strict=args.strict)
@@ -190,8 +196,6 @@ def _load_corpus(args: argparse.Namespace) -> vectorize.Corpus:
 
 def cmd_ingest(args: argparse.Namespace, transport=None) -> int:
     db = _load_db(args)
-    if not args.snapshot:
-        raise _UsageError("a snapshot output path is required (--snapshot)")
     packages = sorted(_filter_packages(db, args.packages))
     client = registry.PyPIClient(
         transport=transport,
@@ -237,19 +241,11 @@ def cmd_build(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args)
     rows = vectorize.corpus_rows(corpus)
     attrition = _attrition_doc(corpus.attrition)
-    if args.format == "json":
-        doc = {
-            "meta": {"command": "build", "strict": args.strict},
-            "corpus": rows,
-            "attrition": attrition,
-        }
-        _write_json(doc, args, args.out)
-    else:
-        fieldnames = ["package", "r", "m", "w", "counts"]
-        _write_csv(fieldnames, rows, args, args.out)
-        if args.attrition_out:
-            records = [row for kind in _ATTRITION_KINDS for row in attrition[kind]]
-            _write_csv(_ATTRITION_COLUMNS, records, args, args.attrition_out)
+    attrition_rows = [row for kind in _ATTRITION_KINDS for row in attrition[kind]]
+    meta = {"command": "build", "strict": args.strict}
+    doc = {"meta": meta, "corpus": rows, "attrition": attrition}
+    side = (args.attrition_out, _ATTRITION_COLUMNS, attrition_rows)
+    _write_outputs(args, doc, (_CORPUS_COLUMNS, rows), side)
     counts = attrition["counts"]
     print(
         f"build: {len(rows)} packages kept; dropped {counts['advisory_drops']} "
@@ -265,36 +261,24 @@ def cmd_markov(args: argparse.Namespace) -> int:
     if series:
         summary = markov.corpus_summary(series, alpha=args.alpha)
         records = _rows(summary.records, _MARKOV_COLUMNS)
-        stats = summary.stats
+        stat_rows = [{"metric": metric, **row} for metric, row in summary.stats.items()]
         histogram_rows = [
             {"metric": metric, "bin_left": left, "bin_right": right, "count": count}
             for metric, bins in sorted(summary.histograms.items())
             for left, right, count in bins
         ]
-        body = {"stats": stats, "histograms": histogram_rows}
+        body = {"stats": summary.stats, "histograms": histogram_rows}
     else:
-        records, stats, histogram_rows = [], {}, []
+        records, stat_rows, histogram_rows = [], [], []
         body = {"note": "corpus is empty"}
-    if args.format == "json":
-        meta = {"command": "markov", "alpha": args.alpha, "strict": args.strict}
-        _write_json({"meta": meta, "records": records, **body}, args, args.out)
-    else:
-        _write_csv(_MARKOV_COLUMNS, records, args, args.out)
-        if args.summary_out:
-            stat_rows = [{"metric": metric, **row} for metric, row in stats.items()]
-            _write_csv(
-                ["metric", "n", "mean", "median", "q1", "q3", "min", "max"],
-                stat_rows,
-                args,
-                args.summary_out,
-            )
-        if args.histogram_out:
-            _write_csv(
-                ["metric", "bin_left", "bin_right", "count"],
-                histogram_rows,
-                args,
-                args.histogram_out,
-            )
+    meta = {"command": "markov", "alpha": args.alpha, "strict": args.strict}
+    _write_outputs(
+        args,
+        {"meta": meta, "records": records, **body},
+        (_MARKOV_COLUMNS, records),
+        (args.summary_out, _STAT_COLUMNS, stat_rows),
+        (args.histogram_out, _HISTOGRAM_COLUMNS, histogram_rows),
+    )
     return EXIT_OK
 
 
@@ -322,35 +306,31 @@ def cmd_forecast(args: argparse.Namespace) -> int:
         }
         for package, sel in sorted(result.orders.items())
     ]
-    if args.format == "json":
-        doc = {
-            "meta": {
-                "command": "forecast",
-                "horizons": list(args.t),
-                "min_releases": args.min_releases,
-                "min_std": args.min_std,
-                "max_order_fraction": args.max_order_frac,
-                "aic_margin": args.aic_margin,
-                "ridge": args.ridge,
-                "full_sample": args.full_sample,
-                "tie_value": args.tie,
-                "strict": args.strict,
-            },
-            "reports": report_rows,
-            "abs_errors": {
-                f"{rep.package}@{rep.t}": list(rep.abs_errors) for rep in result.reports
-            },
-            "summaries": summary_rows,
-            "exclusions": exclusion_rows,
-            "orders": order_rows,
-        }
-        if not result.reports:
-            doc["note"] = "no package passed the eligibility filters"
-        _write_json(doc, args, args.out)
-    else:
-        _write_csv(_REPORT_COLUMNS, report_rows, args, args.out)
-        if args.summary_out:
-            _write_csv(_SUMMARY_COLUMNS, summary_rows, args, args.summary_out)
+    doc = {
+        "meta": {
+            "command": "forecast",
+            "horizons": list(args.t),
+            "min_releases": args.min_releases,
+            "min_std": args.min_std,
+            "max_order_fraction": args.max_order_frac,
+            "aic_margin": args.aic_margin,
+            "ridge": args.ridge,
+            "full_sample": args.full_sample,
+            "tie_value": args.tie,
+            "strict": args.strict,
+        },
+        "reports": report_rows,
+        "abs_errors": {
+            f"{rep.package}@{rep.t}": list(rep.abs_errors) for rep in result.reports
+        },
+        "summaries": summary_rows,
+        "exclusions": exclusion_rows,
+        "orders": order_rows,
+    }
+    if not result.reports:
+        doc["note"] = "no package passed the eligibility filters"
+    side = (args.summary_out, _SUMMARY_COLUMNS, summary_rows)
+    _write_outputs(args, doc, (_REPORT_COLUMNS, report_rows), side)
     kept = len(result.reports)
     print(
         f"forecast: {kept} package-horizon reports, {len(exclusion_rows)} exclusions",
@@ -388,6 +368,7 @@ _non_negative = _checked(
     float, lambda x: math.isfinite(x) and x >= 0, "a finite non-negative number"
 )
 _fraction = _checked(float, lambda x: 0 < x <= 1, "a fraction in (0, 1]")
+_path = _checked(str, bool, "a non-empty path")
 _horizons = _checked(
     lambda text: tuple(int(token) for token in _names(text)),
     lambda ts: ts and min(ts) >= 1 and len(set(ts)) == len(ts),
@@ -395,17 +376,23 @@ _horizons = _checked(
 )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--db", help="advisory database JSON file")
-    parser.add_argument("--snapshot", help="release-history snapshot file")
+def _add_inputs(parser: argparse.ArgumentParser) -> None:
+    """The inputs every subcommand reads."""
+    parser.add_argument("--db", required=True, type=_path, help="advisory database JSON file")
+    parser.add_argument("--snapshot", required=True, type=_path, help="release snapshot file")
     parser.add_argument("--packages", type=_names, help="comma-separated package filter")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--out", help="primary output file (default stdout)")
     parser.add_argument(
         "--no-timestamp",
         action="store_true",
         help="omit the generation timestamp for byte-identical reruns",
     )
+
+
+def _add_document(parser: argparse.ArgumentParser) -> None:
+    """The inputs, plus the output flags of the document commands."""
+    _add_inputs(parser)
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--out", help="primary output file (default stdout)")
     parser.add_argument(
         "--strict",
         action="store_true",
@@ -423,30 +410,34 @@ def build_parser(transport=None) -> _Parser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     ingest = commands.add_parser("ingest", help="fetch release histories into a snapshot")
-    _add_common(ingest)
+    _add_inputs(ingest)
     ingest.add_argument("--cache", help="payload cache directory")
     ingest.add_argument("--offline", action="store_true", help="serve from cache only")
     ingest.add_argument("--workers", type=_positive_int, default=4)
     ingest.set_defaults(run=functools.partial(cmd_ingest, transport=transport))
 
     build = commands.add_parser("build", help="build the per-package binary series corpus")
-    _add_common(build)
+    _add_document(build)
     build.add_argument("--attrition-out", help="CSV file for attrition records")
     build.set_defaults(run=cmd_build)
 
     markov_cmd = commands.add_parser("markov", help="probability and transition summary")
-    _add_common(markov_cmd)
+    _add_document(markov_cmd)
     markov_cmd.add_argument("--alpha", type=_non_negative, default=0.0, help="add-alpha smoothing")
     markov_cmd.add_argument("--summary-out", help="CSV file for distribution statistics")
     markov_cmd.add_argument("--histogram-out", help="CSV file for histogram bins")
     markov_cmd.set_defaults(run=cmd_markov)
 
     forecast = commands.add_parser("forecast", help="run the release-forecast experiment")
-    _add_common(forecast)
-    forecast.add_argument("--t", type=_horizons, default="5,10", help="comma-separated horizons")
-    forecast.add_argument("--min-releases", type=_positive_int, default=25)
-    forecast.add_argument("--min-std", type=_non_negative, default=0.25)
-    forecast.add_argument("--max-order-frac", type=_fraction, default=0.1)
+    _add_document(forecast)
+    forecast.add_argument(
+        "--t", type=_horizons, default=autologistic.HORIZONS, help="comma-separated horizons"
+    )
+    forecast.add_argument("--min-releases", type=_positive_int, default=autologistic.MIN_RELEASES)
+    forecast.add_argument("--min-std", type=_non_negative, default=autologistic.MIN_STD)
+    forecast.add_argument(
+        "--max-order-frac", type=_fraction, default=autologistic.MAX_ORDER_FRACTION
+    )
     forecast.add_argument(
         "--aic-margin",
         type=_non_negative,
@@ -459,7 +450,9 @@ def build_parser(transport=None) -> _Parser:
         action="store_true",
         help="fit coefficients on the whole series instead of the training prefix",
     )
-    forecast.add_argument("--tie", type=int, default=1, choices=(0, 1), help="naive tie prediction")
+    forecast.add_argument(
+        "--tie", type=int, choices=(0, 1), default=autologistic.TIE_VALUE, help="naive tie value"
+    )
     forecast.add_argument("--summary-out", help="CSV file for the summary table")
     forecast.set_defaults(run=cmd_forecast)
     return parser
@@ -476,7 +469,7 @@ def main(argv: Sequence[str] | None = None, transport=None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
-    except (SnapshotNotFoundError, TransportError, OfflineCacheMissError, OSError) as exc:
+    except (SnapshotNotFoundError, OSError) as exc:
         print(f"environment error: {exc}", file=sys.stderr)
         return EXIT_ENVIRONMENT
     except VulnseriesError as exc:

@@ -38,12 +38,11 @@ class VersionParseError(VulnseriesError, ValueError):
 class SpecSyntaxError(VulnseriesError, ValueError):
     """A constraint token uses an operator outside the supported set.
 
-    The offending token is kept on the ``token`` attribute.
+    The message names the offending token.
     """
 
     def __init__(self, token: str, message: str):
         super().__init__(f"{message}: {token!r}")
-        self.token = token
 
 
 class DatabaseLoadError(VulnseriesError):
@@ -100,11 +99,6 @@ class ClauseInvalidError(VulnseriesError):
 
     Callers drop the whole clause when this is raised.
     """
-
-    def __init__(self, message: str, *, package: str = "", constraint: str = ""):
-        super().__init__(message)
-        self.package = package
-        self.constraint = constraint
 
 
 class InsufficientDataError(VulnseriesError, ValueError):

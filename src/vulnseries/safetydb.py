@@ -90,7 +90,7 @@ def parse_spec(text: str, *, parse: Callable[[str], Version] | None = None) -> S
 
     Comma-separated tokens each carry an operator prefix and a version;
     a bare version means exact equality.  Unknown operator prefixes raise
-    :class:`SpecSyntaxError` with the offending token attached.
+    :class:`SpecSyntaxError` naming the offending token.
     ``parse`` replaces :func:`parse_version`, for a caller's memo.
     """
     parse = parse or parse_version

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 from .errors import AttritionRecord, ClauseInvalidError
 from .registry import ReleaseHistory
-from .safetydb import Advisory, Constraint, DatabaseLoadResult, SpecClause
+from .safetydb import Advisory, Constraint, SpecClause
 
 __all__ = [
     "BinarySeries",
@@ -84,7 +84,7 @@ class Corpus:
 def _boundary_index(history: ReleaseHistory, strict: bool) -> dict:
     index: dict = {}
     for position, release in enumerate(history.releases):
-        key = release.raw if strict else release.version.sort_key
+        key = release.version.raw if strict else release.version.sort_key
         index.setdefault(key, position)
     return index
 
@@ -108,9 +108,7 @@ def fill_constraint(
     if key not in index:
         raise ClauseInvalidError(
             f"boundary version {constraint.version.raw!r} absent from "
-            f"{history.package!r} history",
-            package=history.package,
-            constraint=constraint.text(),
+            f"{history.package!r} history"
         )
     b = index[key]
     below, at = (1 << b) - 1, 1 << b
@@ -134,7 +132,7 @@ def fill_clause(
 ) -> int:
     """Return the ``&`` of the masks of a clause's constraints."""
     if not clause.constraints:
-        raise ClauseInvalidError("clause has no constraints", package=history.package)
+        raise ClauseInvalidError("clause has no constraints")
     index = _index if _index is not None else _boundary_index(history, strict)
     mask = -1
     for constraint in clause.constraints:
@@ -158,17 +156,16 @@ def aggregate(
 
 
 def build_corpus(
-    db: DatabaseLoadResult | Mapping[str, tuple[Advisory, ...]],
+    advisories_by_package: Mapping[str, tuple[Advisory, ...]],
     histories: Mapping[str, ReleaseHistory],
     *,
     strict: bool = False,
 ) -> Corpus:
-    """Run the full advisory-to-series pipeline over a database.
+    """Run the full advisory-to-series pipeline over a database's advisories.
 
     Nothing raises here: clause, advisory, and package failures all turn
     into attrition records.  Output is sorted by package name.
     """
-    advisories_by_package = db.advisories if isinstance(db, DatabaseLoadResult) else db
     clause_drops: list[AttritionRecord] = []
     advisory_drops: list[AttritionRecord] = []
     package_drops: list[AttritionRecord] = []

@@ -331,7 +331,7 @@ def build_tree(
     save_snapshot(snap_path, histories)
 
     load = safetydb.load_database(db_path.read_bytes())
-    corpus = vectorize.build_corpus(load, load_snapshot(snap_path))
+    corpus = vectorize.build_corpus(load.advisories, load_snapshot(snap_path))
     got = {p.series.package: list(p.series.values) for p in corpus.packages}
     want = {name: w for name, w in expected.items() if w is not None}
     assert got == want, f"corpus mismatch: {set(got) ^ set(want)}"

@@ -5,7 +5,9 @@ emitted files, and the stderr diagnostics.  Network access is replaced
 by an injected transport callable.
 """
 
+import argparse
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -174,6 +176,38 @@ def test_seed_is_not_an_option(capsys):
     argv = ["forecast", "--db", DB, "--snapshot", SNAPSHOT, "--seed", "9"]
     assert cli.main(argv) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["build", "--snapshot", SNAPSHOT], "--db"),
+        (["build", "--db", DB], "--snapshot"),
+        (["forecast"], "--db, --snapshot"),
+        (["ingest", "--db", DB], "--snapshot"),
+    ],
+)
+def test_missing_input_is_the_only_line_printed(capsys, argv, flags):
+    # The fixture database prints warnings when it loads; a usage error
+    # comes before any file is read, so none of them appear.
+    def transport(url):
+        raise AssertionError(f"the index was contacted: {url}")
+
+    assert cli.main(argv, transport=transport) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"usage error: vulnseries {argv[0]}: the following arguments are required: {flags}\n"
+    )
+
+
+@pytest.mark.parametrize("flag", ["--db", "--snapshot"])
+def test_empty_input_path_is_a_usage_error(capsys, flag):
+    argv = ["build", "--db", DB, "--snapshot", SNAPSHOT, flag, ""]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and flag in err and "non-empty path" in err
+    assert err.count("\n") == 1
 
 
 # -- build -----------------------------------------------------------------
@@ -675,3 +709,125 @@ def test_ingest_requires_a_snapshot_path(tmp_path):
     # The usage error comes before any fetch: nothing is requested or cached.
     assert transport.calls == []
     assert not cache.exists()
+
+
+@pytest.mark.parametrize("flag", [["--out", "x.json"], ["--format", "json"], ["--strict"]])
+def test_ingest_rejects_the_document_flags(tmp_path, capsys, flag):
+    transport = make_transport({})
+    argv = ["ingest", "--db", DB, "--snapshot", str(tmp_path / "snap.json"), *flag]
+    assert cli.main(argv, transport=transport) == 1
+    assert transport.calls == []
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_ingest_help_lists_only_the_flags_it_reads(capsys):
+    assert cli.main(["ingest", "--help"]) == 0
+    options = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert options == {
+        "--help",
+        "--db",
+        "--snapshot",
+        "--packages",
+        "--no-timestamp",
+        "--cache",
+        "--offline",
+        "--workers",
+    }
+
+
+# -- every flag is read, and side files in either format -------------------
+
+SIDE_FLAGS = {
+    "build": ["--attrition-out"],
+    "markov": ["--summary-out", "--histogram-out"],
+    "forecast": ["--summary-out"],
+}
+VALUE_FLAGS = {
+    "build": [],
+    "markov": ["--alpha", "0.5"],
+    "forecast": [
+        "--t", "5",
+        "--min-releases", "20",
+        "--min-std", "0.1",
+        "--max-order-frac", "0.2",
+        "--aic-margin", "2",
+        "--ridge",
+        "--full-sample",
+        "--tie", "0",
+    ],
+}
+
+
+def document_argv(tmp_path, command, fmt):
+    """A full argv for a document command, writing every file under ``tmp_path``."""
+    argv = [
+        command,
+        "--db", DB,
+        "--snapshot", SNAPSHOT,
+        "--packages", "alphapkg,brightpkg,charliepkg,julietpkg",
+        "--no-timestamp",
+        "--format", fmt,
+        "--out", str(tmp_path / f"{command}.{fmt}"),
+        "--strict",
+        *VALUE_FLAGS[command],
+    ]
+    for flag in SIDE_FLAGS[command]:
+        argv += [flag, str(tmp_path / f"{command}{flag}.{fmt}.csv")]
+    return argv
+
+
+def reads_of(argv, transport=None):
+    """Run ``argv`` in-process; return its exit code and the dests it never read."""
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    args = cli.build_parser(transport).parse_args(argv, namespace=Recording())
+    reads.clear()
+    code = args.run(args)
+    return code, set(vars(args)) - {"run", "command"} - reads
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", ["build", "markov", "forecast"])
+def test_every_parsed_flag_is_read(tmp_path, command, fmt):
+    code, unread = reads_of(document_argv(tmp_path, command, fmt))
+    assert code == 0
+    assert unread == set()
+
+
+def test_every_parsed_ingest_flag_is_read(tmp_path):
+    transport = make_transport(
+        {"alphapkg": (200, payload_for([("1.0", "2021-01-01T00:00:00Z")]))}
+    )
+    argv = [
+        "ingest",
+        "--db", DB,
+        "--snapshot", str(tmp_path / "snap.json"),
+        "--packages", "alphapkg",
+        "--no-timestamp",
+        "--cache", str(tmp_path / "cache"),
+        "--workers", "2",
+    ]
+    code, unread = reads_of(argv, transport)
+    assert code == 0
+    assert transport.calls
+    # A snapshot never carries a timestamp, so ingest has nothing to
+    # suppress.  It keeps the flag because callers such as perfbench
+    # pass one shared input argv to every subcommand.
+    assert unread == {"no_timestamp"}
+
+
+@pytest.mark.parametrize("command", ["build", "markov", "forecast"])
+def test_side_files_are_the_same_in_either_format(tmp_path, command):
+    sides = {}
+    for fmt in ("json", "csv"):
+        assert cli.main(document_argv(tmp_path, command, fmt)) == 0
+        sides[fmt] = [
+            (tmp_path / f"{command}{flag}.{fmt}.csv").read_bytes() for flag in SIDE_FLAGS[command]
+        ]
+    assert all(len(side.splitlines()) > 1 for side in sides["csv"])
+    assert sides["json"] == sides["csv"]
