@@ -25,7 +25,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     AttritionRecord,
@@ -68,8 +68,7 @@ def normalize_name(name: str) -> str:
     return re.sub(r"[-_.]+", "-", name).lower()
 
 
-@dataclass(frozen=True)
-class Release:
+class Release(NamedTuple):
     """One published version with its (earliest) upload timestamp."""
 
     version: Version
@@ -118,19 +117,17 @@ def order_history(
         except VersionParseError as exc:
             raise VersionParseError(f"{package!r} lists version {raw!r}: {exc}") from None
 
-    def sort_key(release: Release):
-        missing = release.upload_time is None
-        return (release.version.sort_key, missing, release.upload_time or "", release.raw)
-
-    parsed.sort(key=sort_key)
+    parsed.sort(key=lambda r: (r.version._key, r.upload_time is None, r.upload_time or "", r.raw))
     deduped: list[Release] = []
     warnings: list[str] = []
+    previous = None
     for release in parsed:
-        if deduped and deduped[-1].version.sort_key == release.version.sort_key:
+        if release.version._key == previous:
             warnings.append(
                 f"{package}: duplicate release {release.raw!r} collapses into {deduped[-1].raw!r}"
             )
             continue
+        previous = release.version._key
         deduped.append(release)
     latest_seen: str | None = None
     for release in deduped:
@@ -351,9 +348,10 @@ def load_snapshot(path: str | os.PathLike) -> dict[str, ReleaseHistory]:
     """Read a snapshot back into ordered histories.
 
     Versions are re-parsed but not re-sorted, so a snapshot round-trips
-    exactly; a row whose version is not a non-empty string, or a history
-    whose stored order is not strictly increasing, is a
-    :class:`SnapshotSchemaError`.
+    exactly.  A :class:`SnapshotSchemaError` is raised for a schema
+    version other than the integer 1, a version that is not a non-empty
+    string, an upload time that is not a string or null, or a history
+    whose stored order is not strictly increasing.
 
     Each distinct version string is parsed once, through a memo of
     :func:`parse_version`, so equal strings share one :class:`Version`.
@@ -367,11 +365,10 @@ def load_snapshot(path: str | os.PathLike) -> dict[str, ReleaseHistory]:
         doc = json.loads(target.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SnapshotSchemaError(f"snapshot {target} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema_version") != SNAPSHOT_SCHEMA_VERSION:
-        raise SnapshotSchemaError(
-            f"snapshot {target} has unsupported schema "
-            f"{doc.get('schema_version') if isinstance(doc, dict) else '?'!r}"
-        )
+    schema = doc.get("schema_version") if isinstance(doc, dict) else "?"
+    # A type test, since true and 1.0 both compare equal to 1.
+    if type(schema) is not int or schema != SNAPSHOT_SCHEMA_VERSION:
+        raise SnapshotSchemaError(f"snapshot {target} has unsupported schema {schema!r}")
     raw_histories = doc.get("histories")
     if not isinstance(raw_histories, dict):
         raise SnapshotSchemaError(f"snapshot {target} has no histories map")
@@ -380,7 +377,8 @@ def load_snapshot(path: str | os.PathLike) -> dict[str, ReleaseHistory]:
     for name, rows in raw_histories.items():
         if not isinstance(rows, list):
             raise SnapshotSchemaError(f"snapshot history for {name!r} is not a list")
-        releases = []
+        releases: list[Release] = []
+        previous = None
         for row in rows:
             if not isinstance(row, dict) or "version" not in row:
                 raise SnapshotSchemaError(f"snapshot row for {name!r} is malformed")
@@ -390,11 +388,17 @@ def load_snapshot(path: str | os.PathLike) -> dict[str, ReleaseHistory]:
                 raise SnapshotSchemaError(
                     f"snapshot row for {name!r} has no version string: {raw!r}"
                 )
-            release = Release(parse(raw), raw, row.get("upload_time"))
-            if releases and releases[-1].version.sort_key >= release.version.sort_key:
+            upload_time = row.get("upload_time")
+            if upload_time is not None and not isinstance(upload_time, str):
+                raise SnapshotSchemaError(
+                    f"snapshot row for {name!r} has a non-string upload_time: {upload_time!r}"
+                )
+            version = parse(raw)
+            if previous is not None and previous >= version._key:
                 raise SnapshotSchemaError(
                     f"snapshot history for {name!r}: {releases[-1].raw!r} is not before {raw!r}"
                 )
-            releases.append(release)
+            previous = version._key
+            releases.append(Release(version, raw, upload_time))
         histories[name] = ReleaseHistory(name, tuple(releases))
     return histories

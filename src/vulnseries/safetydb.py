@@ -17,7 +17,7 @@ import functools
 import json
 import re
 from dataclasses import dataclass
-from typing import IO, Callable, Mapping, Union
+from typing import IO, Callable, Mapping, NamedTuple, Union
 
 from .errors import AttritionRecord, DatabaseLoadError, SpecSyntaxError, VersionParseError
 from .versions import Version, canonical_string, parse_version
@@ -40,8 +40,7 @@ _CVE_RE = re.compile(r"^CVE-\d{4}-\d{4,}$")
 _OPERATOR_CHARS = "<>=!~^"
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """One comparison against a boundary version."""
 
     op: str
@@ -51,8 +50,7 @@ class Constraint:
         return f"{self.op}{canonical_string(self.version)}"
 
 
-@dataclass(frozen=True)
-class SpecClause:
+class SpecClause(NamedTuple):
     """A conjunction of constraints; two or more form an interval."""
 
     constraints: tuple[Constraint, ...]
@@ -113,7 +111,7 @@ def parse_spec(text: str, *, parse: Callable[[str], Version] | None = None) -> S
 
 
 def _parse_entry(
-    package: str, index: int, entry: object, parse: Callable[[str], Version]
+    package: str, index: int, entry: object, spec_parser: Callable[[str], SpecClause]
 ) -> AttritionRecord | tuple[Advisory, list[AttritionRecord]]:
     """The entry's advisory and warnings, or the record of why it is skipped."""
     if not isinstance(entry, dict):
@@ -139,7 +137,7 @@ def _parse_entry(
         if not isinstance(spec, str):
             return record("spec-not-a-string", repr(spec))
         try:
-            clauses.append(parse_spec(spec, parse=parse))
+            clauses.append(spec_parser(spec))
         except SpecSyntaxError as exc:
             return record("spec-syntax", str(exc))
         except VersionParseError as exc:
@@ -167,10 +165,11 @@ def load_database(source: Union[bytes, str, IO[bytes]]) -> DatabaseLoadResult:
     Top-level keys starting with ``$`` are metadata and skipped without a
     diagnostic.  Malformed JSON raises :class:`DatabaseLoadError`.
 
-    Each distinct spec version is parsed once, through a memo of
-    :func:`parse_version`, so equal strings share one :class:`Version`.
-    The memo ends with the call, so a long-lived process keeps no parsed
-    versions between loads and each load costs what it would in a fresh one.
+    Each distinct spec string is parsed once, through a memo of
+    :func:`parse_spec` over a memo of :func:`parse_version`; a spec that
+    raises is parsed again, so each entry repeating it gets a skip record.
+    The memos end with the call, so a long-lived process keeps no parsed
+    specs between loads and each load costs what it would in a fresh one.
     """
     raw = source.read() if hasattr(source, "read") else source
     try:
@@ -181,6 +180,7 @@ def load_database(source: Union[bytes, str, IO[bytes]]) -> DatabaseLoadResult:
         raise DatabaseLoadError("database top level must be a JSON object keyed by package name")
 
     parse = functools.lru_cache(maxsize=None)(parse_version)
+    spec_parser = functools.lru_cache(maxsize=None)(functools.partial(parse_spec, parse=parse))
     advisories: dict[str, tuple[Advisory, ...]] = {}
     skipped: list[AttritionRecord] = []
     warnings: list[AttritionRecord] = []
@@ -192,7 +192,7 @@ def load_database(source: Union[bytes, str, IO[bytes]]) -> DatabaseLoadResult:
             continue
         kept: list[Advisory] = []
         for index, entry in enumerate(entries):
-            result = _parse_entry(package, index, entry, parse)
+            result = _parse_entry(package, index, entry, spec_parser)
             if isinstance(result, AttritionRecord):
                 skipped.append(result)
             else:

@@ -84,8 +84,7 @@ class Corpus:
 def _boundary_index(history: ReleaseHistory, strict: bool) -> dict:
     index: dict = {}
     for position, release in enumerate(history.releases):
-        key = release.version.raw if strict else release.version.sort_key
-        index.setdefault(key, position)
+        index.setdefault(release.version.raw if strict else release.version._key, position)
     return index
 
 
@@ -104,23 +103,28 @@ def fill_constraint(
     is not in the history raises :class:`ClauseInvalidError`.
     """
     index = _index if _index is not None else _boundary_index(history, strict)
-    key = constraint.version.raw if strict else constraint.version.sort_key
-    if key not in index:
+    b = index.get(constraint.version.raw if strict else constraint.version._key)
+    if b is None:
         raise ClauseInvalidError(
             f"boundary version {constraint.version.raw!r} absent from "
             f"{history.package!r} history"
         )
-    b = index[key]
+    op = constraint.op
     below, at = (1 << b) - 1, 1 << b
+    if op == "<":
+        return below
+    if op == "<=":
+        return below | at
+    if op == "==":
+        return at
     full = (1 << len(history.releases)) - 1
-    return {
-        "<": below,
-        "<=": below | at,
-        ">": full & ~(below | at),
-        ">=": full & ~below,
-        "==": at,
-        "!=": full & ~at,
-    }[constraint.op]
+    if op == ">":
+        return full & ~(below | at)
+    if op == ">=":
+        return full & ~below
+    if op == "!=":
+        return full & ~at
+    raise KeyError(op)
 
 
 def fill_clause(
@@ -151,8 +155,14 @@ def aggregate(
     """Count the advisory masks covering each release, then binarize (count > 0)."""
     if not masks:
         raise ValueError(f"no advisory masks for {package!r}")
-    counts = tuple(map(sum, zip(*(bits(mask, r) for mask in masks))))
-    return counts, BinarySeries(package, tuple(int(c > 0) for c in counts))
+    counts = [0] * r
+    for mask in masks:
+        mask &= (1 << r) - 1
+        while mask:
+            low = mask & -mask
+            counts[low.bit_length() - 1] += 1
+            mask ^= low
+    return tuple(counts), BinarySeries(package, tuple(int(c > 0) for c in counts))
 
 
 def build_corpus(

@@ -11,6 +11,10 @@ Trailing zero release segments are insignificant: ``1.0`` compares equal
 to ``1.0.0``, and both canonicalize to the same string.  Local labels
 order segment by segment as in PEP 440: numeric segments as integers,
 after any alphanumeric segment, and a label before its extensions.
+
+A :class:`Version` stores only its trimmed text and its order key, so a
+parse builds one small record.  The components (epoch, release, pre,
+post, dev, local) are derived: read one and the text is parsed again.
 """
 
 from __future__ import annotations
@@ -22,17 +26,9 @@ from .errors import VersionParseError
 
 __all__ = ["Version", "parse_version", "compare", "canonical_string"]
 
-_PRE_CANON = {
-    "a": "alpha",
-    "alpha": "alpha",
-    "b": "beta",
-    "beta": "beta",
-    "c": "rc",
-    "rc": "rc",
-    "pre": "rc",
-    "preview": "rc",
-}
-_PRE_RANK = {"alpha": 0, "beta": 1, "rc": 2}
+# Pre-release spellings by rank; _PRE_NAMES[rank] is the canonical name.
+_PRE_RANK = {"a": 0, "alpha": 0, "b": 1, "beta": 1, "c": 2, "rc": 2, "pre": 2, "preview": 2}
+_PRE_NAMES = ("alpha", "beta", "rc")
 
 _GRAMMAR = re.compile(
     r"""
@@ -47,75 +43,60 @@ _GRAMMAR = re.compile(
     """,
     re.VERBOSE,
 )
+_SPLIT = re.compile(r"[._-]").split
 
 
-@dataclass(frozen=True, order=True, repr=False)
+@dataclass(frozen=True, order=True, slots=True, repr=False)
 class Version:
-    """A parsed release identifier.
+    """A parsed release identifier: its trimmed text and its order key.
 
-    ``legacy`` marks strings outside the grammar; those keep only ``raw``
-    meaningfully populated and order by their case-folded text.
-    Equality, order and hash follow ``sort_key`` alone.
+    Equality, order and hash follow ``_key`` alone: ``(0, case-folded
+    text)`` for a legacy version, else ``(1, epoch, release without
+    trailing zeros, pre, post, dev, local)``, each part encoded so that
+    tuple order is version order.
     """
 
-    epoch: int = field(compare=False)
-    release: tuple[int, ...] = field(compare=False)
-    pre: tuple[str, int] | None = field(compare=False)
-    post: int | None = field(compare=False)
-    dev: int | None = field(compare=False)
-    local: str | None = field(compare=False)
     raw: str = field(compare=False)
-    legacy: bool = field(default=False, compare=False)
-    _key: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_key", _sort_key(self))
+    _key: tuple
 
     @property
     def sort_key(self) -> tuple:
         """Opaque total-order key; usable as a tie-break component elsewhere."""
         return self._key
 
+    @property
+    def legacy(self) -> bool:
+        return self._key[0] == 0
+
+    def _components(self) -> tuple:
+        """``(epoch, release, pre, post, dev, local)``, parsed again from ``raw``."""
+        m = _GRAMMAR.match(self.raw.strip().lower())
+        if m is None:
+            return 0, (), None, None, None, None
+        epoch, release, pre_kind, pre_num, post_kind, post_num, dev_kind, dev_num, local = (
+            m.groups()
+        )
+        return (
+            int(epoch or 0),
+            tuple(int(seg) for seg in _SPLIT(release)),
+            (_PRE_NAMES[_PRE_RANK[pre_kind]], int(pre_num or 0)) if pre_kind else None,
+            int(post_num or 0) if post_kind else None,
+            int(dev_num or 0) if dev_kind else None,
+            ".".join(_SPLIT(local)) if local else None,
+        )
+
+    epoch = property(lambda self: self._components()[0])
+    release = property(lambda self: self._components()[1])
+    pre = property(lambda self: self._components()[2])
+    post = property(lambda self: self._components()[3])
+    dev = property(lambda self: self._components()[4])
+    local = property(lambda self: self._components()[5])
+
     def __repr__(self) -> str:
         return f"Version({self.raw!r})"
 
     def __str__(self) -> str:
         return canonical_string(self)
-
-
-def _stripped_release(release: tuple[int, ...]) -> tuple[int, ...]:
-    # Trailing zeros carry no meaning; keep at least one segment.
-    rel = list(release)
-    while len(rel) > 1 and rel[-1] == 0:
-        rel.pop()
-    return tuple(rel)
-
-
-def _sort_key(v: Version) -> tuple:
-    if v.legacy:
-        return (0, v.raw.strip().lower())
-    if v.pre is not None:
-        pre_key: tuple = (0, _PRE_RANK[v.pre[0]], v.pre[1])
-    elif v.dev is not None and v.post is None:
-        # A bare dev release precedes even the alphas of the same release.
-        pre_key = (-1,)
-    else:
-        pre_key = (1,)
-    post_key = (0,) if v.post is None else (1, v.post)
-    dev_key = (1,) if v.dev is None else (0, v.dev)
-    return (
-        1,
-        v.epoch,
-        _stripped_release(v.release),
-        pre_key,
-        post_key,
-        dev_key,
-        # "01" and "1" differ only in the text after the integer, so equal
-        # keys still mean equal canonical strings.
-        tuple((1, int(s), s) if s.isdigit() else (0, s) for s in v.local.split("."))
-        if v.local
-        else (),
-    )
 
 
 def parse_version(text: str) -> Version:
@@ -133,64 +114,66 @@ def parse_version(text: str) -> Version:
     folded = trimmed.lower()
     m = _GRAMMAR.match(folded)
     if m is None:
-        return Version(
-            epoch=0,
-            release=(),
-            pre=None,
-            post=None,
-            dev=None,
-            local=None,
-            raw=trimmed,
-            legacy=True,
-        )
-    release = tuple(int(seg) for seg in re.split(r"[._-]", m["release"]))
-    pre = None
-    if m["pre_kind"]:
-        pre = (_PRE_CANON[m["pre_kind"]], int(m["pre_num"] or 0))
-    post = int(m["post_num"] or 0) if m["post_kind"] else None
-    dev = int(m["dev_num"] or 0) if m["dev_kind"] else None
-    local = re.sub(r"[-_]", ".", m["local"]) if m["local"] else None
+        return Version(trimmed, (0, folded))
+    epoch, release, pre_kind, pre_num, post_kind, post_num, dev_kind, dev_num, local = m.groups()
+    # Trailing zeros carry no meaning; keep at least one segment.
+    segments = [int(seg) for seg in _SPLIT(release)]
+    while len(segments) > 1 and segments[-1] == 0:
+        segments.pop()
+    if pre_kind:
+        pre: tuple = (0, _PRE_RANK[pre_kind], int(pre_num or 0))
+    elif dev_kind and not post_kind:
+        # A bare dev release precedes even the alphas of the same release.
+        pre = (-1,)
+    else:
+        pre = (1,)
     return Version(
-        epoch=int(m["epoch"] or 0),
-        release=release,
-        pre=pre,
-        post=post,
-        dev=dev,
-        local=local,
-        raw=trimmed,
+        trimmed,
+        (
+            1,
+            int(epoch or 0),
+            tuple(segments),
+            pre,
+            (1, int(post_num or 0)) if post_kind else (0,),
+            (0, int(dev_num or 0)) if dev_kind else (1,),
+            # "01" and "1" differ only in the text after the integer, so
+            # equal keys still mean equal canonical strings.
+            tuple((1, int(s), s) if s.isdigit() else (0, s) for s in _SPLIT(local))
+            if local
+            else (),
+        ),
     )
 
 
 def compare(a: Version, b: Version) -> int:
     """Return -1, 0 or 1 as ``a`` orders before, equal to, or after ``b``."""
-    if a.sort_key < b.sort_key:
+    if a._key < b._key:
         return -1
-    if a.sort_key > b.sort_key:
+    if a._key > b._key:
         return 1
     return 0
 
 
 def canonical_string(v: Version) -> str:
-    """Render the canonical form; versions compare equal iff these match.
+    """Render the canonical form, from the key alone; versions compare equal iff these match.
 
     The release part is normalized to at least three segments with trailing
     zeros stripped beyond that, so ``1.0`` and ``1.0.0`` both render as
     ``1.0.0``.
     """
-    if v.legacy:
-        return v.raw.strip().lower()
-    rel = list(_stripped_release(v.release))
-    while len(rel) < 3:
-        rel.append(0)
-    out = ".".join(str(seg) for seg in rel)
-    if v.epoch:
-        out = f"{v.epoch}!{out}"
-    if v.pre is not None:
-        out += f"-{v.pre[0]}.{v.pre[1]}"
-    if v.post is not None:
-        out += f".post{v.post}"
-    if v.dev is not None:
-        out += f".dev{v.dev}"
-    if v.local:
-        out += f"+{v.local}"
+    if v._key[0] == 0:
+        return v._key[1]
+    _, epoch, release, pre, post, dev, local = v._key
+    out = ".".join(map(str, release + (0,) * (3 - len(release))))
+    if epoch:
+        out = f"{epoch}!{out}"
+    if pre[0] == 0:
+        out += f"-{_PRE_NAMES[pre[1]]}.{pre[2]}"
+    if post[0]:
+        out += f".post{post[1]}"
+    if dev[0] == 0:
+        out += f".dev{dev[1]}"
+    if local:
+        # Each local segment's text is the last item of its key entry.
+        out += "+" + ".".join(segment[-1] for segment in local)
     return out

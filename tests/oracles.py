@@ -4,13 +4,16 @@ Every helper here recomputes an answer the package also produces, but by
 a different route: per-release comparison instead of positional fills,
 scipy quasi-Newton instead of the package's own Newton solver, central
 finite differences instead of the analytic score.  Agreement between the
-two routes is then evidence rather than tautology.  Version order itself
-comes from the version layer, which has its own example and law tests.
+two routes is then evidence rather than tautology.  Version order has
+its own reference too: a component-by-component parse, key and canonical
+form over a separate copy of the grammar.
 """
 
 from __future__ import annotations
 
 import random
+import re
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -167,6 +170,123 @@ def version_texts(draw) -> str:
     if draw(st.booleans()):
         text = text.upper()
     return text
+
+
+# --- component-based version reference ---------------------------------
+
+_PRE_CANON = {
+    "a": "alpha",
+    "alpha": "alpha",
+    "b": "beta",
+    "beta": "beta",
+    "c": "rc",
+    "rc": "rc",
+    "pre": "rc",
+    "preview": "rc",
+}
+_PRE_RANK = {"alpha": 0, "beta": 1, "rc": 2}
+_GRAMMAR = re.compile(
+    r"""
+    ^ v?
+    (?:(?P<epoch>\d+)!)?
+    (?P<release>\d+(?:[._-]\d+)*)
+    (?:[._-]?(?P<pre_kind>alpha|a|beta|b|rc|c|preview|pre)(?:[._-]?(?P<pre_num>\d+))?)?
+    (?:[._-]?(?P<post_kind>post|rev|r)(?:[._-]?(?P<post_num>\d+))?)?
+    (?:[._-]?(?P<dev_kind>dev)(?:[._-]?(?P<dev_num>\d+))?)?
+    (?:\+(?P<local>[a-z0-9]+(?:[._-][a-z0-9]+)*))?
+    $
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass(frozen=True)
+class ReferenceVersion:
+    """A version held as its components, each stored as parsed."""
+
+    epoch: int
+    release: tuple[int, ...]
+    pre: tuple[str, int] | None
+    post: int | None
+    dev: int | None
+    local: str | None
+    raw: str
+    legacy: bool = False
+
+
+def reference_version(text: str) -> ReferenceVersion:
+    """Parse non-blank ``text`` into its components; junk is legacy."""
+    trimmed = text.strip()
+    m = _GRAMMAR.match(trimmed.lower())
+    if m is None:
+        return ReferenceVersion(0, (), None, None, None, None, trimmed, legacy=True)
+    return ReferenceVersion(
+        epoch=int(m["epoch"] or 0),
+        release=tuple(int(seg) for seg in re.split(r"[._-]", m["release"])),
+        pre=(_PRE_CANON[m["pre_kind"]], int(m["pre_num"] or 0)) if m["pre_kind"] else None,
+        post=int(m["post_num"] or 0) if m["post_kind"] else None,
+        dev=int(m["dev_num"] or 0) if m["dev_kind"] else None,
+        local=re.sub(r"[-_]", ".", m["local"]) if m["local"] else None,
+        raw=trimmed,
+    )
+
+
+def _stripped_release(release: tuple[int, ...]) -> tuple[int, ...]:
+    rel = list(release)
+    while len(rel) > 1 and rel[-1] == 0:
+        rel.pop()
+    return tuple(rel)
+
+
+def reference_sort_key(v: ReferenceVersion) -> tuple:
+    """The total-order key, built from the components."""
+    if v.legacy:
+        return (0, v.raw.strip().lower())
+    if v.pre is not None:
+        pre_key: tuple = (0, _PRE_RANK[v.pre[0]], v.pre[1])
+    elif v.dev is not None and v.post is None:
+        pre_key = (-1,)
+    else:
+        pre_key = (1,)
+    post_key = (0,) if v.post is None else (1, v.post)
+    dev_key = (1,) if v.dev is None else (0, v.dev)
+    return (
+        1,
+        v.epoch,
+        _stripped_release(v.release),
+        pre_key,
+        post_key,
+        dev_key,
+        tuple((1, int(s), s) if s.isdigit() else (0, s) for s in v.local.split("."))
+        if v.local
+        else (),
+    )
+
+
+def reference_canonical_string(v: ReferenceVersion) -> str:
+    """The canonical form, rendered from the components."""
+    if v.legacy:
+        return v.raw.strip().lower()
+    rel = list(_stripped_release(v.release))
+    while len(rel) < 3:
+        rel.append(0)
+    out = ".".join(str(seg) for seg in rel)
+    if v.epoch:
+        out = f"{v.epoch}!{out}"
+    if v.pre is not None:
+        out += f"-{v.pre[0]}.{v.pre[1]}"
+    if v.post is not None:
+        out += f".post{v.post}"
+    if v.dev is not None:
+        out += f".dev{v.dev}"
+    if v.local:
+        out += f"+{v.local}"
+    return out
+
+
+def reference_compare(a: ReferenceVersion, b: ReferenceVersion) -> int:
+    ka, kb = reference_sort_key(a), reference_sort_key(b)
+    return (ka > kb) - (ka < kb)
 
 
 # --- independent numerics ----------------------------------------------

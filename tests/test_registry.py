@@ -20,11 +20,13 @@ from vulnseries.errors import (
 )
 from vulnseries.registry import (
     PyPIClient,
+    Release,
     load_snapshot,
     normalize_name,
     order_history,
     save_snapshot,
 )
+from vulnseries.safetydb import Constraint, SpecClause, load_database_path
 from vulnseries.versions import Version, parse_version
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -393,6 +395,9 @@ def test_missing_snapshot_raises_not_found(tmp_path):
     [
         "{ not json",
         json.dumps({"schema_version": 999, "histories": {}}),
+        # true and 1.0 compare equal to the schema version 1, but are not it.
+        json.dumps({"schema_version": True, "histories": {}}),
+        json.dumps({"schema_version": 1.0, "histories": {}}),
         json.dumps({"schema_version": 1}),
         json.dumps({"schema_version": 1, "histories": {"pkg": "nope"}}),
         json.dumps({"schema_version": 1, "histories": {"pkg": [{"nope": 1}]}}),
@@ -424,3 +429,34 @@ def test_snapshot_out_of_version_order_is_a_schema_error(tmp_path):
     )
     with pytest.raises(SnapshotSchemaError, match=r"'pkg'.*'2\.0' is not before '1\.0'"):
         load_snapshot(path)
+
+
+@pytest.mark.parametrize("stamp", [5, 1.5, ["2020-01-01"], {"t": 1}, True])
+def test_snapshot_row_with_a_non_string_upload_time_is_a_schema_error(tmp_path, stamp):
+    rows = [{"version": "0.9", "upload_time": None}, {"version": "1.0", "upload_time": stamp}]
+    path = tmp_path / "snap.json"
+    path.write_text(
+        json.dumps({"schema_version": 1, "histories": {"pkg": rows}}), encoding="utf-8"
+    )
+    with pytest.raises(SnapshotSchemaError, match=r"'pkg' has a non-string upload_time"):
+        load_snapshot(path)
+
+
+def test_loaded_records_carry_no_instance_dict():
+    histories = load_snapshot(FIXTURES / "snapshot_fixture.json")
+    database = load_database_path(FIXTURES / "safetydb_fixture.json")
+    releases = [r for h in histories.values() for r in h.releases]
+    clauses = [
+        c for entries in database.advisories.values() for a in entries for c in a.clauses
+    ]
+    constraints = [k for c in clauses for k in c.constraints]
+    records = [
+        *releases,
+        *(r.version for r in releases),
+        *clauses,
+        *constraints,
+        *(k.version for k in constraints),
+    ]
+    assert {type(r) for r in records} == {Release, Version, SpecClause, Constraint}
+    # One dict per loaded row would bring back the cost these records remove.
+    assert not [r for r in records if hasattr(r, "__dict__")]

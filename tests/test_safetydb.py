@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from vulnseries import safetydb
 from vulnseries.errors import DatabaseLoadError, SpecSyntaxError
 from vulnseries.safetydb import (
     OPERATORS,
@@ -221,3 +222,41 @@ def test_loaded_fixture_spec_versions_equal_fresh_parses_in_every_field():
 
     for version in versions:
         assert fields(version) == fields(parse_version(version.raw))
+
+
+def test_database_load_parses_each_distinct_spec_once(monkeypatch):
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_version(text)
+
+    # Patched at the module attribute, where perfbench counts parse calls.
+    monkeypatch.setattr(safetydb, "parse_version", counted)
+    doc = {
+        name: [{"id": f"{name}-1", "specs": [">=1.0,<2.0", "==3.0"]}]
+        for name in ("a", "b", "c")
+    }
+    doc["d"] = [{"id": "d-1", "specs": ["<2.0"]}]
+    result = load_database(json.dumps(doc))
+    assert sorted(calls) == ["1.0", "2.0", "3.0"]
+    clauses = [result.advisories[name][0].clauses for name in ("a", "b", "c")]
+    assert all(c[0] is clauses[0][0] and c[1] is clauses[0][1] for c in clauses)
+
+
+@pytest.mark.parametrize("bad,reason", [("~=1.0", "spec-syntax"), (">=1.0,<", "bad-version")])
+def test_a_repeated_malformed_spec_is_skipped_once_per_entry(bad, reason):
+    doc = {
+        "a": [{"id": "a-1", "specs": [bad]}, {"id": "a-2", "specs": ["<1.0", bad]}],
+        "b": [{"id": "b-1", "specs": [bad]}],
+    }
+    result = load_database(json.dumps(doc))
+    assert result.advisory_count == 0
+    assert [(s.package, s.advisory_id, s.reason) for s in result.skipped] == [
+        ("a", "a-1", reason),
+        ("a", "a-2", reason),
+        ("b", "b-1", reason),
+    ]
+    assert len({s.detail for s in result.skipped}) == 1
+    alone = load_database(json.dumps({"a": [{"id": "a-1", "specs": [bad]}]}))
+    assert result.skipped[0] == alone.skipped[0]

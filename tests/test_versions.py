@@ -1,13 +1,36 @@
 """Version grammar: examples, canonical form, and total-order laws."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from vulnseries.errors import VersionParseError
+from vulnseries.safetydb import load_database_path
 from vulnseries.versions import canonical_string, compare, parse_version
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _fixture_version_texts() -> list[str]:
+    snapshot = json.loads((FIXTURES / "snapshot_fixture.json").read_text(encoding="utf-8"))
+    texts = {row["version"] for rows in snapshot["histories"].values() for row in rows}
+    database = load_database_path(FIXTURES / "safetydb_fixture.json")
+    texts.update(
+        constraint.version.raw
+        for advisories in database.advisories.values()
+        for advisory in advisories
+        for clause in advisory.clauses
+        for constraint in clause.constraints
+    )
+    return sorted(texts)
+
+
+FIXTURE_VERSION_TEXTS = _fixture_version_texts()
 
 
 def test_plain_release_parses_to_numeric_segments():
@@ -144,3 +167,40 @@ def test_sorting_is_deterministic_and_stable():
     once = sorted(versions)
     twice = sorted(list(reversed(versions)))
     assert [v.sort_key for v in once] == [v.sort_key for v in twice]
+
+
+COMPONENTS = ("epoch", "release", "pre", "post", "dev", "local", "legacy")
+
+
+def assert_agrees_with_reference(text):
+    v, ref = parse_version(text), oracles.reference_version(text)
+    assert canonical_string(v) == oracles.reference_canonical_string(ref)
+    assert [getattr(v, name) for name in COMPONENTS] == [
+        getattr(ref, name) for name in COMPONENTS
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(oracles.version_texts(), st.sampled_from(FIXTURE_VERSION_TEXTS)),
+    st.one_of(oracles.version_texts(), st.sampled_from(FIXTURE_VERSION_TEXTS)),
+)
+def test_versions_agree_with_the_component_reference(a_text, b_text):
+    assert_agrees_with_reference(a_text)
+    assert_agrees_with_reference(b_text)
+    assert compare(parse_version(a_text), parse_version(b_text)) == oracles.reference_compare(
+        oracles.reference_version(a_text), oracles.reference_version(b_text)
+    )
+
+
+def test_every_fixture_and_sampled_version_agrees_with_the_component_reference():
+    rng = random.Random(11)
+    texts = FIXTURE_VERSION_TEXTS + [oracles.random_version_text(rng) for _ in range(300)]
+    assert len(FIXTURE_VERSION_TEXTS) > 100
+    for text in texts:
+        assert_agrees_with_reference(text)
+    versions = [parse_version(text) for text in texts]
+    references = [oracles.reference_version(text) for text in texts]
+    for a, ra in zip(versions, references):
+        for b, rb in zip(versions, references):
+            assert compare(a, b) == oracles.reference_compare(ra, rb)
