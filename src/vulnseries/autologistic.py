@@ -44,29 +44,6 @@ from .errors import (
 from .markov import transition_counts
 from .vectorize import BinarySeries
 
-__all__ = [
-    "LagDesign",
-    "ModelFit",
-    "Eligibility",
-    "OrderSelection",
-    "ForecastReport",
-    "HorizonSummary",
-    "ExperimentResult",
-    "build_lag_design",
-    "log_likelihood",
-    "score",
-    "fit",
-    "select_order",
-    "max_order",
-    "eligibility",
-    "forecast",
-    "threshold_accuracy",
-    "naive_baseline",
-    "experiment_summary",
-    "run_experiment",
-    "simulate",
-]
-
 LOGLIK_TOL = 1e-8
 GRADIENT_TOL = 1e-6
 MAX_ITERATIONS = 100

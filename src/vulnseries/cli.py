@@ -28,8 +28,6 @@ from typing import Callable, Sequence
 from . import autologistic, markov, registry, safetydb, vectorize
 from .errors import AttritionRecord, SnapshotNotFoundError, VulnseriesError
 
-__all__ = ["main", "build_parser"]
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2

@@ -82,16 +82,13 @@ class PayloadFormatError(RegistryError):
     reason = "bad-payload"
 
 
-class SnapshotError(VulnseriesError):
-    """Base class for snapshot file problems."""
+class SnapshotNotFoundError(VulnseriesError):
+    """The snapshot file does not exist; the CLI reports it as an environment error."""
 
 
-class SnapshotNotFoundError(SnapshotError):
-    pass
-
-
-class SnapshotSchemaError(SnapshotError):
-    """Snapshot file declares a schema version this code does not understand."""
+class SnapshotSchemaError(VulnseriesError):
+    """The snapshot file is not valid JSON, has an unsupported schema version,
+    or holds a malformed or out-of-order history."""
 
 
 class ClauseInvalidError(VulnseriesError):
@@ -105,19 +102,15 @@ class InsufficientDataError(VulnseriesError, ValueError):
     """A series is too short for the requested operation."""
 
 
-class EstimationError(VulnseriesError):
-    """Base class for model fitting failures."""
-
-
-class SeparationError(EstimationError):
+class SeparationError(VulnseriesError):
     """Perfect (or quasi) separation: the likelihood has no finite maximizer."""
 
 
-class SingularModelError(EstimationError):
+class SingularModelError(VulnseriesError):
     """The weighted least-squares system is singular (collinear regressors)."""
 
 
-class OrderSelectionError(EstimationError):
+class OrderSelectionError(VulnseriesError):
     """No candidate autoregression order produced a usable fit."""
 
 

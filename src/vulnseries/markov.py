@@ -20,17 +20,6 @@ import numpy as np
 from .errors import InsufficientDataError
 from .vectorize import BinarySeries
 
-__all__ = [
-    "PackageStats",
-    "CorpusSummary",
-    "unconditional_probability",
-    "transition_counts",
-    "transition_table",
-    "transition_probabilities",
-    "corpus_summary",
-    "histogram",
-]
-
 
 @dataclass(frozen=True)
 class PackageStats:

@@ -40,18 +40,6 @@ from .errors import (
 )
 from .versions import Version, parse_version
 
-__all__ = [
-    "Release",
-    "ReleaseHistory",
-    "PyPIClient",
-    "order_history",
-    "normalize_name",
-    "save_snapshot",
-    "load_snapshot",
-    "SNAPSHOT_SCHEMA_VERSION",
-    "DEFAULT_ENDPOINT",
-]
-
 SNAPSHOT_SCHEMA_VERSION = 1
 DEFAULT_ENDPOINT = "https://pypi.org/pypi"
 _CACHE_ENV = "VULNSERIES_CACHE"
@@ -117,17 +105,17 @@ def order_history(
         except VersionParseError as exc:
             raise VersionParseError(f"{package!r} lists version {raw!r}: {exc}") from None
 
-    parsed.sort(key=lambda r: (r.version._key, r.upload_time is None, r.upload_time or "", r.raw))
+    parsed.sort(key=lambda r: (r.version.key, r.upload_time is None, r.upload_time or "", r.raw))
     deduped: list[Release] = []
     warnings: list[str] = []
     previous = None
     for release in parsed:
-        if release.version._key == previous:
+        if release.version.key == previous:
             warnings.append(
                 f"{package}: duplicate release {release.raw!r} collapses into {deduped[-1].raw!r}"
             )
             continue
-        previous = release.version._key
+        previous = release.version.key
         deduped.append(release)
     latest_seen: str | None = None
     for release in deduped:
@@ -394,11 +382,11 @@ def load_snapshot(path: str | os.PathLike) -> dict[str, ReleaseHistory]:
                     f"snapshot row for {name!r} has a non-string upload_time: {upload_time!r}"
                 )
             version = parse(raw)
-            if previous is not None and previous >= version._key:
+            if previous is not None and previous >= version.key:
                 raise SnapshotSchemaError(
                     f"snapshot history for {name!r}: {releases[-1].raw!r} is not before {raw!r}"
                 )
-            previous = version._key
+            previous = version.key
             releases.append(Release(version, raw, upload_time))
         histories[name] = ReleaseHistory(name, tuple(releases))
     return histories

@@ -22,17 +22,6 @@ from typing import IO, Callable, Mapping, NamedTuple, Union
 from .errors import AttritionRecord, DatabaseLoadError, SpecSyntaxError, VersionParseError
 from .versions import Version, canonical_string, parse_version
 
-__all__ = [
-    "Constraint",
-    "SpecClause",
-    "Advisory",
-    "DatabaseLoadResult",
-    "parse_spec",
-    "load_database",
-    "load_database_path",
-    "OPERATORS",
-]
-
 # Longest first so prefix matching never mistakes "<=" for "<".
 OPERATORS = ("<=", ">=", "==", "!=", "<", ">")
 

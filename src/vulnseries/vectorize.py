@@ -15,25 +15,13 @@ remains.  Every drop is recorded in the attrition report.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import AttritionRecord, ClauseInvalidError
 from .registry import ReleaseHistory
 from .safetydb import Advisory, Constraint, SpecClause
-
-__all__ = [
-    "BinarySeries",
-    "AttritionReport",
-    "PackageResult",
-    "Corpus",
-    "fill_constraint",
-    "fill_clause",
-    "bits",
-    "aggregate",
-    "build_corpus",
-    "corpus_rows",
-]
 
 
 @dataclass(frozen=True)
@@ -84,7 +72,7 @@ class Corpus:
 def _boundary_index(history: ReleaseHistory, strict: bool) -> dict:
     index: dict = {}
     for position, release in enumerate(history.releases):
-        index.setdefault(release.version.raw if strict else release.version._key, position)
+        index.setdefault(release.version.raw if strict else release.version.key, position)
     return index
 
 
@@ -103,7 +91,7 @@ def fill_constraint(
     is not in the history raises :class:`ClauseInvalidError`.
     """
     index = _index if _index is not None else _boundary_index(history, strict)
-    b = index.get(constraint.version.raw if strict else constraint.version._key)
+    b = index.get(constraint.version.raw if strict else constraint.version.key)
     if b is None:
         raise ClauseInvalidError(
             f"boundary version {constraint.version.raw!r} absent from "
@@ -181,6 +169,8 @@ def build_corpus(
     package_drops: list[AttritionRecord] = []
     flags: list[AttritionRecord] = []
     results: list[PackageResult] = []
+    # Equal clauses render equal text, and loaded advisories repeat clauses: render each once.
+    clause_text = functools.lru_cache(maxsize=None)(SpecClause.text)
 
     for package in sorted(advisories_by_package):
         advisories = advisories_by_package[package]
@@ -206,7 +196,7 @@ def build_corpus(
                             AttritionRecord(
                                 package,
                                 "not-equal-operator",
-                                f"clause {clause.text()!r} uses !=; filled as "
+                                f"clause {clause_text(clause)!r} uses !=; filled as "
                                 "all-but-boundary",
                                 advisory_id=advisory.id,
                             )
@@ -218,7 +208,7 @@ def build_corpus(
                         AttritionRecord(
                             package,
                             "boundary-version-absent",
-                            f"clause {clause.text()!r}: {exc}",
+                            f"clause {clause_text(clause)!r}: {exc}",
                             advisory_id=advisory.id,
                         )
                     )

@@ -13,8 +13,7 @@ order segment by segment as in PEP 440: numeric segments as integers,
 after any alphanumeric segment, and a label before its extensions.
 
 A :class:`Version` stores only its trimmed text and its order key, so a
-parse builds one small record.  The components (epoch, release, pre,
-post, dev, local) are derived: read one and the text is parsed again.
+parse builds one small record.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import VersionParseError
-
-__all__ = ["Version", "parse_version", "compare", "canonical_string"]
 
 # Pre-release spellings by rank; _PRE_NAMES[rank] is the canonical name.
 _PRE_RANK = {"a": 0, "alpha": 0, "b": 1, "beta": 1, "c": 2, "rc": 2, "pre": 2, "preview": 2}
@@ -50,47 +47,18 @@ _SPLIT = re.compile(r"[._-]").split
 class Version:
     """A parsed release identifier: its trimmed text and its order key.
 
-    Equality, order and hash follow ``_key`` alone: ``(0, case-folded
+    Equality, order and hash follow ``key`` alone: ``(0, case-folded
     text)`` for a legacy version, else ``(1, epoch, release without
     trailing zeros, pre, post, dev, local)``, each part encoded so that
     tuple order is version order.
     """
 
     raw: str = field(compare=False)
-    _key: tuple
-
-    @property
-    def sort_key(self) -> tuple:
-        """Opaque total-order key; usable as a tie-break component elsewhere."""
-        return self._key
+    key: tuple
 
     @property
     def legacy(self) -> bool:
-        return self._key[0] == 0
-
-    def _components(self) -> tuple:
-        """``(epoch, release, pre, post, dev, local)``, parsed again from ``raw``."""
-        m = _GRAMMAR.match(self.raw.strip().lower())
-        if m is None:
-            return 0, (), None, None, None, None
-        epoch, release, pre_kind, pre_num, post_kind, post_num, dev_kind, dev_num, local = (
-            m.groups()
-        )
-        return (
-            int(epoch or 0),
-            tuple(int(seg) for seg in _SPLIT(release)),
-            (_PRE_NAMES[_PRE_RANK[pre_kind]], int(pre_num or 0)) if pre_kind else None,
-            int(post_num or 0) if post_kind else None,
-            int(dev_num or 0) if dev_kind else None,
-            ".".join(_SPLIT(local)) if local else None,
-        )
-
-    epoch = property(lambda self: self._components()[0])
-    release = property(lambda self: self._components()[1])
-    pre = property(lambda self: self._components()[2])
-    post = property(lambda self: self._components()[3])
-    dev = property(lambda self: self._components()[4])
-    local = property(lambda self: self._components()[5])
+        return self.key[0] == 0
 
     def __repr__(self) -> str:
         return f"Version({self.raw!r})"
@@ -147,9 +115,9 @@ def parse_version(text: str) -> Version:
 
 def compare(a: Version, b: Version) -> int:
     """Return -1, 0 or 1 as ``a`` orders before, equal to, or after ``b``."""
-    if a._key < b._key:
+    if a.key < b.key:
         return -1
-    if a._key > b._key:
+    if a.key > b.key:
         return 1
     return 0
 
@@ -161,9 +129,9 @@ def canonical_string(v: Version) -> str:
     zeros stripped beyond that, so ``1.0`` and ``1.0.0`` both render as
     ``1.0.0``.
     """
-    if v._key[0] == 0:
-        return v._key[1]
-    _, epoch, release, pre, post, dev, local = v._key
+    if v.key[0] == 0:
+        return v.key[1]
+    _, epoch, release, pre, post, dev, local = v.key
     out = ".".join(map(str, release + (0,) * (3 - len(release))))
     if epoch:
         out = f"{epoch}!{out}"

@@ -152,12 +152,22 @@ def random_version_text(rng: random.Random) -> str:
 
 @st.composite
 def version_texts(draw) -> str:
-    """Hypothesis analog of :func:`random_version_text` (grammar only)."""
+    """Hypothesis analog of :func:`random_version_text`.
+
+    Mostly grammar text, with an optional epoch and local label (digit and
+    alphanumeric segments, leading zeros, every separator); sometimes a
+    grammar text with junk appended, or arbitrary non-blank text.
+    """
+    if draw(st.integers(0, 9)) == 9:
+        return draw(st.text(min_size=1).filter(str.strip))
     sep = st.sampled_from([".", "-", "_"])
     parts = [str(draw(st.integers(0, 40)))]
     for _ in range(draw(st.integers(0, 3))):
         parts.append(draw(sep) + str(draw(st.integers(0, 40))))
-    text = draw(st.sampled_from(["", "v"])) + "".join(parts)
+    text = draw(st.sampled_from(["", "v"]))
+    if draw(st.booleans()):
+        text += f"{draw(st.integers(0, 3))}!"
+    text += "".join(parts)
     if draw(st.booleans()):
         kind = draw(st.sampled_from(["a", "b", "rc", "alpha", "beta", "pre"]))
         text += draw(st.sampled_from(["", ".", "-"])) + kind
@@ -168,7 +178,12 @@ def version_texts(draw) -> str:
     if draw(st.booleans()):
         text += draw(st.sampled_from(["", "."])) + "dev" + str(draw(st.integers(0, 5)))
     if draw(st.booleans()):
+        segments = draw(st.lists(st.text("0129abz", min_size=1, max_size=4), min_size=1, max_size=4))
+        text += "+" + segments[0] + "".join(draw(sep) + seg for seg in segments[1:])
+    if draw(st.booleans()):
         text = text.upper()
+    if draw(st.integers(0, 9)) == 9:
+        text += draw(st.sampled_from(["+", "..", "!", "-", "x", " final", "+a..b", "*"]))
     return text
 
 

@@ -7,7 +7,10 @@ by an injected transport callable.
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,7 @@ from vulnseries import cli
 from vulnseries.registry import load_snapshot, order_history, save_snapshot
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).parents[1] / "src"
 DB = str(FIXTURES / "safetydb_fixture.json")
 SNAPSHOT = str(FIXTURES / "snapshot_fixture.json")
 EXPECTED_FORECAST = FIXTURES / "expected_forecast.json"
@@ -75,6 +79,20 @@ def test_unknown_flag_is_a_usage_error():
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     assert "vulnseries" in capsys.readouterr().out
+
+
+def test_each_module_imports_on_its_own_and_the_cli_runs_as_a_module():
+    # The package root imports nothing, so only a fresh interpreter shows
+    # a submodule that depends on another having been imported first.
+    modules = sorted(p.stem for p in (SRC / "vulnseries").glob("*.py") if p.stem != "__init__")
+    assert "cli" in modules
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    runs = [["-c", f"import vulnseries.{module}"] for module in modules]
+    runs.append(["-m", "vulnseries.cli", "--help"])
+    for args in runs:
+        done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, (args, done.stderr)
 
 
 def test_build_requires_a_database():

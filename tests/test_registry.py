@@ -323,7 +323,7 @@ def test_fetched_histories_round_trip_through_a_snapshot(maps):
         loaded = load_snapshot(path)
 
     def rows(history):
-        return [(r.raw, r.upload_time, r.version.sort_key) for r in history.releases]
+        return [(r.raw, r.upload_time, r.version.key) for r in history.releases]
 
     assert {name: rows(h) for name, h in loaded.items()} == {
         name: rows(h) for name, h in histories.items()

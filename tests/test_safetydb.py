@@ -15,7 +15,7 @@ from vulnseries.safetydb import (
     load_database_path,
     parse_spec,
 )
-from vulnseries.versions import Version, parse_version
+from vulnseries.versions import Version, canonical_string, parse_version
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -34,7 +34,7 @@ def test_single_upper_bound_clause():
     clause = parse_spec("<1.4.18")
     assert len(clause.constraints) == 1
     assert clause.constraints[0].op == "<"
-    assert clause.constraints[0].version.release == (1, 4, 18)
+    assert canonical_string(clause.constraints[0].version) == "1.4.18"
 
 
 def test_comma_means_conjunction():
