@@ -169,14 +169,6 @@ class ExperimentResult:
     orders: Mapping[str, OrderSelection]
 
 
-def _lag_design(values: Sequence[int], order: int, start: int) -> LagDesign:
-    """Order-``order`` design for the responses ``values[start:]``; start >= order."""
-    w = np.asarray(values, dtype=float)
-    X = np.ones((len(w) - start, order + 1))
-    X[:, 1:] = sliding_window_view(w[:-1], order)[start - order :, ::-1]
-    return LagDesign(X, w[start:])
-
-
 def build_lag_design(w: BinarySeries, order: int) -> LagDesign:
     """Align each value with its previous ``order`` values."""
     if order < 1:
@@ -186,7 +178,10 @@ def build_lag_design(w: BinarySeries, order: int) -> LagDesign:
         raise InsufficientDataError(
             f"{w.package!r}: series length {r} leaves no responses for order {order}"
         )
-    return _lag_design(w.values, order, order)
+    values = np.asarray(w.values, dtype=float)
+    X = np.ones((r - order, order + 1))
+    X[:, 1:] = sliding_window_view(values[:-1], order)[:, ::-1]
+    return LagDesign(X, values[order:])
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
@@ -413,7 +408,7 @@ def select_order(
     # compare like with like.  Per-order windows would hand longer lags
     # fewer responses and shift their log-likelihoods mechanically,
     # swamping the AIC penalty.  Order l is the first l + 1 columns.
-    shared = _lag_design(w.values, cap, cap)
+    shared = build_lag_design(w, cap)
     for order in range(1, cap + 1):
         design = LagDesign(np.ascontiguousarray(shared.X[:, : order + 1]), shared.y)
         try:
@@ -506,15 +501,15 @@ def forecast(
     verdict = eligibility(w, t, order, min_releases=min_releases, min_std=min_std)
     if not verdict.eligible:
         raise NotEligibleError(f"{w.package!r}: {verdict.reason}", verdict=verdict)
-    r = len(w.values)
-    fit_source = w if full_sample else BinarySeries(w.package, w.values[: r - t])
+    full = build_lag_design(w, order)
+    training = full if full_sample else LagDesign(full.X[:-t], full.y[:-t])
     try:
-        model = fit(build_lag_design(fit_source, order), ridge_fallback=ridge_fallback)
+        model = fit(training, ridge_fallback=ridge_fallback)
     except (SeparationError, SingularModelError, InsufficientDataError) as exc:
         raise ForecastError(f"{w.package!r}: training fit failed: {exc}") from exc
-    test = _lag_design(w.values, order, r - t)
-    p = _sigmoid(test.X @ np.asarray(model.beta))
-    abs_errors = tuple(np.abs(test.y - p).tolist())
+    test_y = full.y[-t:]
+    p = _sigmoid(full.X[-t:] @ np.asarray(model.beta))
+    abs_errors = tuple(np.abs(test_y - p).tolist())
     flags = []
     if model.ridge:
         flags.append("ridge")
@@ -530,7 +525,7 @@ def forecast(
         mean_abs_error=statistics.fmean(abs_errors),
         median_abs_error=statistics.median(abs_errors),
         max_abs_error=max(abs_errors),
-        accuracy=threshold_accuracy(p, test.y),
+        accuracy=threshold_accuracy(p, test_y),
         naive_accuracy=naive_baseline(w, t, tie_value),
         converged=model.converged,
         flags=tuple(flags),

@@ -179,6 +179,8 @@ def _filter_packages(
     if not packages:
         return dict(db.advisories)
     wanted = set(packages)
+    for name in sorted(wanted.difference(db.advisories)):
+        _warn(f"--packages names {name!r}, which has no advisory in the database")
     return {name: adv for name, adv in db.advisories.items() if name in wanted}
 
 

@@ -47,6 +47,9 @@ _CACHE_ENV = "VULNSERIES_CACHE"
 # _BACKOFF_S * 2 ** (n - 1) seconds.
 _MAX_ATTEMPTS = 3
 _BACKOFF_S = 0.5
+# Read once: os.umask sets as it reads, and fetch_many writes from threads.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
 
 Transport = Callable[[str], tuple[int, bytes]]
 
@@ -69,7 +72,10 @@ class Release(NamedTuple):
 
 @dataclass(frozen=True)
 class ReleaseHistory:
-    """A package's releases, oldest first."""
+    """A package's releases, oldest first; their version keys strictly increase.
+
+    Only :func:`order_history` and :func:`load_snapshot` build one.
+    """
 
     package: str
     releases: tuple[Release, ...]
@@ -186,6 +192,7 @@ def _atomic_file(path: Path, mode: str, encoding: str | None = None) -> Iterator
     try:
         with os.fdopen(fd, mode, encoding=encoding) as handle:
             yield handle
+        os.chmod(tmp, 0o666 & ~_UMASK)  # what open() gives, not mkstemp's 0600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -15,13 +15,17 @@ remains.  Every drop is recorded in the attrition report.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import AttritionRecord, ClauseInvalidError
 from .registry import ReleaseHistory
 from .safetydb import Advisory, Constraint, SpecClause
+
+_version_key = operator.attrgetter("version.key")
 
 
 @dataclass(frozen=True)
@@ -69,32 +73,27 @@ class Corpus:
         return len(self.packages)
 
 
-def _boundary_index(history: ReleaseHistory, strict: bool) -> dict:
-    index: dict = {}
-    for position, release in enumerate(history.releases):
-        index.setdefault(release.version.raw if strict else release.version.key, position)
-    return index
-
-
 def fill_constraint(
     constraint: Constraint,
     history: ReleaseHistory,
     *,
     strict: bool = False,
-    _index: Mapping | None = None,
 ) -> int:
     """Return the mask of the releases that satisfy one constraint.
 
     With boundary index b in a history of r releases, "<" marks [0, b),
     "<=" marks [0, b], ">" marks (b, r), ">=" marks [b, r), "==" marks
-    only b, and "!=" marks everything except b.  A boundary version that
-    is not in the history raises :class:`ClauseInvalidError`.
+    only b, and "!=" marks everything except b; the history's keys strictly
+    increase, so b is found by bisection.  A boundary version that is not in
+    the history (under ``strict``, not with its trimmed text) raises
+    :class:`ClauseInvalidError`.
     """
-    index = _index if _index is not None else _boundary_index(history, strict)
-    b = index.get(constraint.version.raw if strict else constraint.version.key)
-    if b is None:
+    boundary = constraint.version
+    b = bisect.bisect_left(history.releases, boundary.key, key=_version_key)
+    found = history.releases[b].version if b < len(history.releases) else None
+    if found is None or found.key != boundary.key or (strict and found.raw != boundary.raw):
         raise ClauseInvalidError(
-            f"boundary version {constraint.version.raw!r} absent from "
+            f"boundary version {boundary.raw!r} absent from "
             f"{history.package!r} history"
         )
     op = constraint.op
@@ -120,15 +119,13 @@ def fill_clause(
     history: ReleaseHistory,
     *,
     strict: bool = False,
-    _index: Mapping | None = None,
 ) -> int:
     """Return the ``&`` of the masks of a clause's constraints."""
     if not clause.constraints:
         raise ClauseInvalidError("clause has no constraints")
-    index = _index if _index is not None else _boundary_index(history, strict)
     mask = -1
     for constraint in clause.constraints:
-        mask &= fill_constraint(constraint, history, strict=strict, _index=index)
+        mask &= fill_constraint(constraint, history, strict=strict)
     return mask
 
 
@@ -184,7 +181,6 @@ def build_corpus(
                 )
             )
             continue
-        index = _boundary_index(history, strict)
         masks: list[int] = []
         advisory_ids: list[str] = []
         for advisory in advisories:
@@ -202,7 +198,7 @@ def build_corpus(
                             )
                         )
                 try:
-                    filled = fill_clause(clause, history, strict=strict, _index=index)
+                    filled = fill_clause(clause, history, strict=strict)
                 except ClauseInvalidError as exc:
                     clause_drops.append(
                         AttritionRecord(

@@ -187,6 +187,28 @@ def version_texts(draw) -> str:
     return text
 
 
+# Spellings of 1.0 that trimming, a "v" prefix and trailing zeros make equal.
+_EQUAL_SPELLINGS = ("1", "1.0", "1.0.0", "v1.0", "V1.0.0", " 1.0 ", "1.0\t")
+
+
+@st.composite
+def release_entries(draw) -> list[tuple[str, str | None]]:
+    """(version text, upload time) pairs as a releases map might list them.
+
+    Texts come from a small pool, so they repeat; the pool mixes
+    :func:`version_texts` with equal spellings of 1.0, and any text may
+    be padded with blanks.
+    """
+    texts = st.one_of(version_texts(), st.sampled_from(_EQUAL_SPELLINGS))
+    pool = draw(st.lists(texts, min_size=1, max_size=8))
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    stamp = st.sampled_from([None, "2020-01-01T00:00:00Z", "2021-06-01T12:00:00Z"])
+    return [
+        (draw(pad) + text + draw(pad), draw(stamp))
+        for text in draw(st.lists(st.sampled_from(pool), max_size=16))
+    ]
+
+
 # --- component-based version reference ---------------------------------
 
 _PRE_CANON = {

@@ -452,6 +452,41 @@ def test_forecast_wraps_training_fit_failures():
         forecast(w, t=10, order=1)
 
 
+def separate_window_scores(w, t, order, *, ridge_fallback, full_sample):
+    """Fit on a matrix of the training prefix alone, score on a fresh test matrix."""
+    r = len(w.values)
+    source = w if full_sample else series(w.values[: r - t], w.package)
+    model = fit(build_lag_design(source, order), ridge_fallback=ridge_fallback)
+    X = np.array([[1.0, *w.values[i - order : i][::-1]] for i in range(r - t, r)])
+    y = np.array(w.values[r - t :], dtype=float)
+    p = _sigmoid(X @ np.asarray(model.beta))
+    return tuple(np.abs(y - p).tolist()), threshold_accuracy(p, y), model.converged
+
+
+@pytest.mark.parametrize("full_sample", [False, True])
+@pytest.mark.parametrize("ridge_fallback", [False, True])
+def test_forecast_windows_match_separately_built_matrices(ridge_fallback, full_sample):
+    rng = random.Random(20261019)
+    compared = failed = 0
+    for _ in range(120):
+        beta = (rng.uniform(-1.5, 1.5), *(rng.uniform(-2.5, 2.5) for _ in range(3)))
+        w = series(simulate(beta, rng.randint(25, 90), rng))
+        t, order = rng.randint(1, 12), rng.randint(1, 4)
+        options = {"ridge_fallback": ridge_fallback, "full_sample": full_sample}
+        try:
+            expected = separate_window_scores(w, t, order, **options)
+        except (SeparationError, SingularModelError):
+            with pytest.raises(ForecastError, match="training fit failed"):
+                forecast(w, t, order, min_std=0.0, **options)
+            failed += 1
+            continue
+        report = forecast(w, t, order, min_std=0.0, **options)
+        assert (report.abs_errors, report.accuracy, report.converged) == expected
+        compared += 1
+    assert compared >= 60
+    assert failed or ridge_fallback
+
+
 # --- experiment orchestration ----------------------------------------------
 
 

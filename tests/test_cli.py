@@ -287,6 +287,25 @@ def test_build_package_filter(tmp_path):
     assert {row["package"] for row in doc["corpus"]} == {"alphapkg", "deltapkg"}
 
 
+@pytest.mark.parametrize("command", ["build", "markov", "forecast"])
+def test_package_filter_warns_once_per_unknown_name(tmp_path, capsys, command):
+    base = [command, "--db", DB, "--snapshot", SNAPSHOT, "--no-timestamp"]
+    base += ["--out", str(tmp_path / "out.json"), "--packages"]
+    assert cli.main(base + ["alphapkg,deltapkg"]) == 0
+    known_err = capsys.readouterr().err
+    assert "--packages" not in known_err
+    assert cli.main(base + ["zz-absent,alphapkg,aa-absent,deltapkg,zz-absent"]) == 0
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "--packages" in line] == [
+        "warning: --packages names 'aa-absent', which has no advisory in the database",
+        "warning: --packages names 'zz-absent', which has no advisory in the database",
+    ]
+    # Apart from those lines, stderr is what the known names alone give.
+    assert [line for line in err.splitlines() if "--packages" not in line] == (
+        known_err.splitlines()
+    )
+
+
 def test_build_csv_and_attrition_out(tmp_path):
     out = tmp_path / "corpus.csv"
     attrition_out = tmp_path / "attrition.csv"
@@ -650,6 +669,21 @@ def test_ingest_warns_about_missing_packages_but_succeeds(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "gone: not-found" in captured.err
     assert "(1 packages missing from the index)" in captured.out
+    assert set(load_snapshot(snap_path)) == {"aaa"}
+
+
+def test_ingest_warns_about_a_filtered_name_the_database_lacks(tmp_path, capsys):
+    db_path = ingest_db(tmp_path, ["aaa", "bbb"])
+    transport = make_transport(
+        {"aaa": (200, payload_for([("1.0", "2021-01-01T00:00:00Z")]))}
+    )
+    snap_path = tmp_path / "snap.json"
+    argv = ["ingest", "--db", db_path, "--snapshot", str(snap_path), "--packages", "aaa,ccc"]
+    assert cli.main(argv, transport=transport) == 0
+    assert capsys.readouterr().err == (
+        "warning: --packages names 'ccc', which has no advisory in the database\n"
+    )
+    assert transport.calls == ["https://pypi.org/pypi/aaa/json"]
     assert set(load_snapshot(snap_path)) == {"aaa"}
 
 

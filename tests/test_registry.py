@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import stat
 import tempfile
 from pathlib import Path
 
@@ -334,6 +335,36 @@ def test_fetched_histories_round_trip_through_a_snapshot(maps):
             assert _fields(release.version) == _fields(parse_version(release.raw))
 
 
+@settings(max_examples=200, deadline=None)
+@given(oracles.release_entries())
+def test_ordered_history_keys_strictly_increase(entries):
+    history, _ = order_history("pkg", entries)
+    keys = [release.version.key for release in history.releases]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert set(keys) == {parse_version(text).key for text, _ in entries}
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracles.release_entries())
+def test_snapshot_loads_exactly_when_its_keys_strictly_increase(entries):
+    history, _ = order_history("pkg", entries)
+    ordered = [release.as_dict() for release in history.releases]
+    listed = [{"version": text, "upload_time": stamp} for text, stamp in entries]
+    for rows in (ordered, listed):
+        keys = [parse_version(row["version"]).key for row in rows]
+        doc = {"schema_version": 1, "histories": {"pkg": rows}}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "snap.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            if all(a < b for a, b in zip(keys, keys[1:])):
+                loaded = load_snapshot(path)["pkg"].releases
+                assert [r.raw for r in loaded] == [row["version"] for row in rows]
+            else:
+                assert rows is listed
+                with pytest.raises(SnapshotSchemaError, match="is not before"):
+                    load_snapshot(path)
+
+
 def test_snapshot_load_parses_each_distinct_string_once(tmp_path):
     spellings = {"a": ("1.0", "1.1"), "b": ("1.0", "1.1"), "c": ("1.0.0", "V1.1")}
     histories = {
@@ -375,6 +406,23 @@ def test_snapshot_round_trip(tmp_path):
         "2020-01-01T00:00:00Z",
         "2020-06-01T00:00:00Z",
     ]
+
+
+def test_snapshot_and_cache_files_get_the_mode_open_gives(tmp_path):
+    plain = tmp_path / "plain.json"
+    with open(plain, "w"):
+        pass
+    history, _ = order_history("pkg", [("1.0", None)])
+    save_snapshot(tmp_path / "snap.json", {"pkg": history})
+    client = PyPIClient(transport=make_transport([(200, payload({"1.0": []}))]), cache_dir=tmp_path)
+    histories, _, failures = client.fetch_many(["pkg"])
+    assert set(histories) == {"pkg"} and not failures
+
+    def mode(path):
+        return stat.S_IMODE(path.stat().st_mode)
+
+    assert mode(tmp_path / "snap.json") == mode(plain)
+    assert mode(tmp_path / "pkg.json") == mode(plain)
 
 
 def test_snapshot_write_is_deterministic(tmp_path):

@@ -6,11 +6,14 @@ import operator
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from vulnseries.errors import ClauseInvalidError
 from vulnseries.registry import order_history
-from vulnseries.safetydb import load_database, parse_spec
+from vulnseries.safetydb import Constraint, SpecClause, load_database, parse_spec
+from vulnseries.versions import parse_version
 from vulnseries.vectorize import (
     aggregate,
     bits,
@@ -91,6 +94,26 @@ def test_strict_mode_matches_a_padded_release_string():
     assert history.releases[1].raw == " 1.0 "
     assert fill_constraint(constraint, history) == 0b11
     assert fill_constraint(constraint, history, strict=True) == 0b11
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracles.release_entries(), st.data())
+def test_strict_fill_is_the_plain_fill_when_the_trimmed_text_matches(entries, data):
+    # Every spelling the history was built from names one of its releases,
+    # though not always one that kept that spelling.
+    history, _ = order_history("pkg", entries)
+    for text, _ in entries:
+        boundary = parse_version(text)
+        op = data.draw(st.sampled_from(["<", "<=", ">", ">=", "==", "!="]))
+        constraint = Constraint(op, boundary)
+        plain = fill_constraint(constraint, history)
+        direct = oracles.direct_clause_vector(SpecClause((constraint,)), history)
+        assert bits(plain, len(history)) == direct
+        if any(release.version.raw == boundary.raw for release in history.releases):
+            assert fill_constraint(constraint, history, strict=True) == plain
+        else:
+            with pytest.raises(ClauseInvalidError, match="absent from 'pkg' history"):
+                fill_constraint(constraint, history, strict=True)
 
 
 def test_clause_intersects_left_and_right_bounds():
