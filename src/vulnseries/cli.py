@@ -3,8 +3,8 @@
 Exit codes: 0 success (warnings allowed), 1 usage error, 2 data error
 (malformed database, snapshot, or spec), 3 environment error (network,
 missing files, IO).  Outputs are deterministic: floats are rounded to
-six decimals, JSON keys are sorted, and the timestamp field/line can be
-suppressed with --no-timestamp so identical inputs give identical bytes.
+six decimals, JSON has the bytes of ``json.dumps(sort_keys=True, indent=2)``,
+and --no-timestamp drops the timestamp so identical inputs give identical bytes.
 
 Experiment constants are flags defaulting to :mod:`autologistic`'s
 constants.  Each flag is declared once, in :func:`build_parser`: its
@@ -18,10 +18,10 @@ import argparse
 import csv
 import functools
 import io
-import json
 import math
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -48,14 +48,37 @@ class _Parser(argparse.ArgumentParser):
 # -- output helpers ------------------------------------------------------
 
 
-def _rounded(value):
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spellings
+
+
+def _json_text(value, depth: int = 0) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it, each
+    float rounded to six decimals first, without ``json``'s pure-Python encoder."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):  # before int, which bool subclasses
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
     if isinstance(value, float):
-        return round(value, 6)
+        text = float.__repr__(round(value, 6))  # round on the value: numpy scalars differ
+        return _NON_FINITE.get(text, text)
     if isinstance(value, dict):
-        return {k: _rounded(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_rounded(v) for v in value]
-    return value
+        brackets = "{}"
+        items = [
+            f"{encode_basestring_ascii(key)}: {_json_text(item, depth + 1)}"
+            for key, item in sorted(value.items())
+        ]
+    elif isinstance(value, (list, tuple)):
+        brackets, items = "[]", [_json_text(item, depth + 1) for item in value]
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{'  ' * depth}{brackets[1]}"
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -68,10 +91,9 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _write_json(doc: dict, args: argparse.Namespace, path: str | None) -> None:
-    doc = _rounded(doc)
     if not args.no_timestamp:
-        doc["generated_at"] = datetime.now(timezone.utc).isoformat()
-    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", path)
+        doc = {**doc, "generated_at": datetime.now(timezone.utc).isoformat()}
+    _emit(_json_text(doc) + "\n", path)
 
 
 def _csv_cell(value) -> str:

@@ -24,6 +24,7 @@ import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -325,18 +326,28 @@ class PyPIClient:
 # -- snapshots ----------------------------------------------------------
 
 
+# Every snapshot row has these two keys, in sorted order, at depth 3.
+_SNAPSHOT_ROW = '{\n        "upload_time": %s,\n        "version": %s\n      }'
+
+
 def save_snapshot(path: str | os.PathLike, histories: Mapping[str, ReleaseHistory]) -> None:
-    """Write ordered histories to a schema-versioned JSON snapshot."""
-    doc = {
-        "schema_version": SNAPSHOT_SCHEMA_VERSION,
-        "histories": {
-            name: [release.as_dict() for release in history.releases]
-            for name, history in sorted(histories.items())
-        },
-    }
+    """Write ordered histories to a schema-versioned JSON snapshot: the bytes of
+    ``json.dump(doc, indent=2, sort_keys=True)`` and a newline, written one history
+    at a time from one row template so the whole text is never held in memory."""
+    quote = encode_basestring_ascii
     with _atomic_file(Path(path), "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write('{\n  "histories": {')
+        separator = "\n    "
+        for name, history in sorted(histories.items()):
+            rows = [
+                _SNAPSHOT_ROW % ("null" if stamp is None else quote(stamp), quote(raw))
+                for _, raw, stamp in history.releases
+            ]
+            body = "\n      " + ",\n      ".join(rows) + "\n    " if rows else ""
+            handle.write(f"{separator}{quote(name)}: [{body}]")
+            separator = ",\n    "
+        closing = "\n  }" if histories else "}"
+        handle.write(f'{closing},\n  "schema_version": {SNAPSHOT_SCHEMA_VERSION}\n}}\n')
 
 
 def load_snapshot(path: str | os.PathLike) -> dict[str, ReleaseHistory]:
@@ -358,7 +369,7 @@ def load_snapshot(path: str | os.PathLike) -> dict[str, ReleaseHistory]:
         raise SnapshotNotFoundError(f"snapshot {target} does not exist")
     try:
         doc = json.loads(target.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise SnapshotSchemaError(f"snapshot {target} is not valid JSON: {exc}") from exc
     schema = doc.get("schema_version") if isinstance(doc, dict) else "?"
     # A type test, since true and 1.0 both compare equal to 1.

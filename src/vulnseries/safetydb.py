@@ -163,7 +163,7 @@ def load_database(source: Union[bytes, str, IO[bytes]]) -> DatabaseLoadResult:
     raw = source.read() if hasattr(source, "read") else source
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
         raise DatabaseLoadError(f"database is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DatabaseLoadError("database top level must be a JSON object keyed by package name")

@@ -13,8 +13,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_impl
 from vulnseries import cli
 from vulnseries.registry import load_snapshot, order_history, save_snapshot
 
@@ -144,6 +148,27 @@ def test_snapshot_row_without_a_version_string_is_a_data_error(tmp_path, capsys,
         assert "Traceback" not in err
         last = err.splitlines()[-1]
         assert last.startswith("data error: snapshot row for 'alphapkg'")
+
+
+@pytest.mark.parametrize("command", ["ingest", "build", "markov", "forecast"])
+def test_database_that_is_not_utf8_is_one_data_error_line(tmp_path, capsys, command):
+    bad = tmp_path / "db.json"
+    bad.write_bytes(b'{"pkg": [\xff]}')
+    argv = [command, "--db", str(bad), "--snapshot", str(tmp_path / "snap.json")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: database is not valid JSON: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["build", "markov", "forecast"])
+def test_snapshot_that_is_not_utf8_is_one_data_error_line(tmp_path, capsys, command):
+    bad = tmp_path / "snap.json"
+    bad.write_bytes(b'{"schema_version": 1, "histories": {"\xff": []}}')
+    assert cli.main([command, "--db", DB, "--snapshot", str(bad)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith(f"data error: snapshot {bad} is not valid JSON: ")
+    assert all(line.startswith("warning: ") for line in err[:-1])
 
 
 def test_bad_horizon_list_is_a_usage_error():
@@ -345,6 +370,67 @@ def test_build_records_a_timestamp_by_default(tmp_path):
     code = cli.main(["build", "--db", DB, "--snapshot", SNAPSHOT, "--out", str(out)])
     assert code == 0
     assert "generated_at" in json.loads(out.read_text(encoding="utf-8"))
+
+
+def test_timestamp_is_the_only_difference_and_sits_at_its_sorted_key(tmp_path):
+    plain, stamped = tmp_path / "plain.json", tmp_path / "stamped.json"
+    argv = ["build", "--db", DB, "--snapshot", SNAPSHOT, "--out"]
+    assert cli.main(argv + [str(plain), "--no-timestamp"]) == 0
+    assert cli.main(argv + [str(stamped)]) == 0
+    doc = json.loads(plain.read_text(encoding="utf-8"))
+    stamp = json.loads(stamped.read_text(encoding="utf-8"))["generated_at"]
+    expected = json.dumps({**doc, "generated_at": stamp}, sort_keys=True, indent=2) + "\n"
+    assert stamped.read_text(encoding="utf-8") == expected
+
+
+def test_the_timestamp_is_not_written_into_the_callers_document(capsys):
+    doc = {"meta": {"command": "build"}}
+    cli._write_json(doc, argparse.Namespace(no_timestamp=False), None)
+    assert doc == {"meta": {"command": "build"}}
+    assert set(json.loads(capsys.readouterr().out)) == {"meta", "generated_at"}
+
+
+# Floats json spells its own way, and ones whose sixth decimal a naive
+# rounding gets wrong; a numpy scalar rounds differently from its float.
+_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e-7, 1e16, -1e16]),
+    st.integers(-(10**9), 10**9).map(lambda n: n / 1e6 + 5e-7),
+)
+_texts = st.one_of(st.text(), st.text(alphabet='"\\\x00\x1f\x7f\u00e9\u2028\U0001f600a'))
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**70), 2**70),
+    _floats,
+    st.one_of(st.floats(-1e9, 1e9), _floats.filter(lambda x: abs(x) < 1e9)).map(np.float64),
+    _texts,
+)
+_documents = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_texts, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents)
+def test_document_text_is_the_stdlib_text_of_the_rounded_document(doc):
+    expected = json.dumps(reference_impl._rounded(doc), sort_keys=True, indent=2)
+    assert cli._json_text(doc) == expected
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", np.int64(3), {"a": [1j]}])
+def test_document_text_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(value)
+    with pytest.raises(TypeError):
+        cli._json_text(value)
 
 
 def test_build_writes_to_stdout_without_out(capsys):

@@ -1,6 +1,7 @@
 """Release-history client: ordering, caching, retries, and snapshots."""
 
 import dataclasses
+import io
 import json
 import stat
 import tempfile
@@ -22,6 +23,7 @@ from vulnseries.errors import (
 from vulnseries.registry import (
     PyPIClient,
     Release,
+    ReleaseHistory,
     load_snapshot,
     normalize_name,
     order_history,
@@ -431,6 +433,61 @@ def test_snapshot_write_is_deterministic(tmp_path):
     save_snapshot(a, {"pkg": history})
     save_snapshot(b, {"pkg": history})
     assert a.read_bytes() == b.read_bytes()
+
+
+def stdlib_snapshot(histories) -> bytes:
+    """The bytes ``json.dump`` writes for a snapshot of ``histories``."""
+    doc = {
+        "schema_version": 1,
+        "histories": {
+            name: [release.as_dict() for release in history.releases]
+            for name, history in histories.items()
+        },
+    }
+    buffer = io.StringIO()
+    json.dump(doc, buffer, indent=2, sort_keys=True)
+    return (buffer.getvalue() + "\n").encode("utf-8")
+
+
+_package_names = st.one_of(
+    st.text(), st.sampled_from(["pkg", "p\u00e9kg", 'quo"te', "back\\slash", "tab\tline\n"])
+)
+
+
+@st.composite
+def snapshot_histories(draw) -> dict:
+    histories = {}
+    for name in draw(st.lists(_package_names, max_size=4, unique=True)):
+        entries = [
+            (text, draw(st.one_of(st.just(stamp), st.none(), st.text())))
+            for text, stamp in draw(oracles.release_entries())
+        ]
+        histories[name] = order_history(name, entries)[0]
+    return histories
+
+
+@settings(max_examples=200, deadline=None)
+@given(snapshot_histories())
+def test_snapshot_bytes_are_the_stdlib_dump(histories):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "snap.json"
+        save_snapshot(path, histories)
+        assert path.read_bytes() == stdlib_snapshot(histories)
+
+
+def test_empty_snapshot_and_empty_history_bytes_are_the_stdlib_dump(tmp_path):
+    path = tmp_path / "snap.json"
+    for histories in ({}, {"pkg": ReleaseHistory("pkg", ())}):
+        save_snapshot(path, histories)
+        assert path.read_bytes() == stdlib_snapshot(histories)
+    assert b'"histories": {},' in stdlib_snapshot({})
+
+
+def test_snapshot_that_is_not_utf8_is_a_schema_error(tmp_path):
+    path = tmp_path / "snap.json"
+    path.write_bytes(b'{"schema_version": 1, "histories": {"\xff": []}}')
+    with pytest.raises(SnapshotSchemaError, match="is not valid JSON: 'utf-8' codec"):
+        load_snapshot(path)
 
 
 def test_missing_snapshot_raises_not_found(tmp_path):

@@ -194,6 +194,14 @@ def test_invalid_json_raises_load_error():
         load_database(b"{ not json")
 
 
+def test_database_that_is_not_utf8_raises_load_error(tmp_path):
+    path = tmp_path / "db.json"
+    path.write_bytes(b'{"pkg": [\xff]}')
+    for load, source in ((load_database, path.read_bytes()), (load_database_path, path)):
+        with pytest.raises(DatabaseLoadError, match="database is not valid JSON: "):
+            load(source)
+
+
 def test_non_object_document_raises_load_error():
     with pytest.raises(DatabaseLoadError):
         load_database(json.dumps(["a", "b"]))
