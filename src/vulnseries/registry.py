@@ -22,7 +22,8 @@ import os
 import re
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -67,9 +68,6 @@ class Release(NamedTuple):
     raw: str
     upload_time: str | None
 
-    def as_dict(self) -> dict:
-        return {"version": self.raw, "upload_time": self.upload_time}
-
 
 @dataclass(frozen=True)
 class ReleaseHistory:
@@ -84,8 +82,8 @@ class ReleaseHistory:
     def __len__(self) -> int:
         return len(self.releases)
 
-    def versions(self) -> tuple[Version, ...]:
-        return tuple(r.version for r in self.releases)
+
+_History = tuple[ReleaseHistory, tuple[str, ...]]  # a history and its warnings
 
 
 def order_history(
@@ -93,7 +91,7 @@ def order_history(
     entries: Iterable[tuple[str, str | None]],
     *,
     parse: Callable[[str], Version] | None = None,
-) -> tuple[ReleaseHistory, tuple[str, ...]]:
+) -> _History:
     """Build an ordered history from (version string, upload time) pairs.
 
     Sorting is by version precedence, then upload time (missing times
@@ -169,9 +167,7 @@ def _earliest_upload(files: object) -> str | None:
     return min(times) if times else None
 
 
-def _history(
-    package: str, releases: dict, parse: Callable[[str], Version] | None
-) -> tuple[ReleaseHistory, tuple[str, ...]]:
+def _history(package: str, releases: dict, parse: Callable[[str], Version]) -> _History:
     entries = [(raw, _earliest_upload(files)) for raw, files in releases.items()]
     if not entries:
         raise PackageNotFoundError(f"package {package!r} has no published releases")
@@ -229,21 +225,24 @@ class PyPIClient:
             return None
         return self.cache_dir / f"{normalize_name(package)}.json"
 
-    def _cache_read(self, package: str) -> bytes | None:
+    def _cached(self, package: str, parse: Callable[[str], Version]) -> _History | None:
+        """The cached history, or ``None`` online when the payload is missing or bad;
+        offline, those are an :class:`OfflineCacheMissError` and a :class:`PayloadFormatError`."""
         path = self._cache_path(package)
-        if path is None or not path.is_file():
-            return None
-        return path.read_bytes()
-
-    def _cache_write(self, package: str, payload: bytes) -> None:
-        path = self._cache_path(package)
-        if path is not None:
-            with _atomic_file(path, "wb") as handle:
-                handle.write(payload)
+        if path is not None and path.is_file():
+            try:
+                return _history(package, _releases_map(package, path.read_bytes()), parse)
+            except PayloadFormatError:
+                if self.offline:
+                    raise
+        elif self.offline:
+            raise OfflineCacheMissError(f"offline mode and no cached payload for {package!r}")
+        return None
 
     # -- fetching ------------------------------------------------------
 
-    def _request(self, package: str) -> bytes:
+    def _download(self, package: str) -> dict:
+        """Request the payload (with retries), check it is a releases map, cache it, return it."""
         url = f"{self.endpoint}/{package}/json"
         last_error: Exception | None = None
         for attempt in range(_MAX_ATTEMPTS):
@@ -256,70 +255,70 @@ class PyPIClient:
                 continue
             if status == 404:
                 raise PackageNotFoundError(f"package {package!r} not found on the index")
-            if status == 200:
-                return body
-            last_error = TransportError(f"index returned HTTP {status} for {package!r}")
+            if status != 200:
+                last_error = TransportError(f"index returned HTTP {status} for {package!r}")
+                continue
+            releases = _releases_map(package, body)
+            path = self._cache_path(package)
+            if path is not None:
+                with _atomic_file(path, "wb") as handle:
+                    handle.write(body)
+            return releases
         raise last_error or TransportError(f"no response for {package!r}")
 
-    def fetch_history(
-        self, package: str, *, parse: Callable[[str], Version] | None = None
-    ) -> tuple[ReleaseHistory, tuple[str, ...]]:
-        """Fetch, parse, and order one package's release history.
+    def fetch_history(self, package: str) -> _History:
+        """Fetch, parse, and order one package's release history, from the cache when possible.
 
-        The payload comes from the cache when possible.  Only a payload
-        that parses as a releases map is cached.  One that cannot be
-        interpreted, including a releases map with a version key that does
-        not parse, is a :class:`PayloadFormatError`: online, a cached one
-        is fetched again; offline, the error is raised.  ``parse`` is
-        passed on to :func:`order_history`.
-        """
-        cached = self._cache_read(package)
-        if cached is not None:
-            try:
-                return _history(package, _releases_map(package, cached), parse)
-            except PayloadFormatError:
-                if self.offline:
-                    raise
-        elif self.offline:
-            raise OfflineCacheMissError(
-                f"offline mode and no cached payload for {package!r}"
-            )
-        body = self._request(package)
-        releases = _releases_map(package, body)
-        self._cache_write(package, body)
-        return _history(package, releases, parse)
+        A payload that cannot be interpreted, including a releases map with a version
+        key that does not parse, is a :class:`PayloadFormatError`, except that online a
+        cached one is downloaded again.  Only a payload that is a releases map is cached."""
+        cached = self._cached(package, parse_version)
+        return cached or _history(package, self._download(package), parse_version)
 
     def fetch_many(
         self, packages: Sequence[str]
     ) -> tuple[dict[str, ReleaseHistory], tuple[str, ...], tuple[AttritionRecord, ...]]:
-        """Fetch several packages concurrently.
+        """Fetch several packages, downloading up to ``workers`` at once.
+
+        Worker threads only run :meth:`_download`: request, check, cache.
+        The calling thread reads the cache and parses and orders every
+        history, in package order, through one memo of :func:`parse_version`
+        that ends with the call.  Offline, no thread is started.
 
         Failures never abort the batch: each :class:`RegistryError`
         becomes an :class:`AttritionRecord` under the error's ``reason``
         code (``not-found``, ``transport``, ``offline-miss`` or
-        ``bad-payload``).
-
-        The worker threads share one memo of :func:`parse_version`, so
-        each distinct version string in the batch is parsed once (a race
-        at worst parses one twice, into equal values).  The memo ends
-        with the call, so a long-lived process keeps no parsed versions
-        between batches and each batch costs what it would in a fresh one.
+        ``bad-payload``).  Any other error, such as an ``OSError`` from a
+        cache write, cancels the downloads not yet started and is raised.
         """
         histories: dict[str, ReleaseHistory] = {}
         warnings: list[str] = []
         failures: list[AttritionRecord] = []
-
         parse = functools.lru_cache(maxsize=None)(parse_version)
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            futures = [pool.submit(self.fetch_history, p, parse=parse) for p in packages]
-            for package, future in zip(packages, futures):
+        outcomes: deque = deque()  # per package: a history, a RegistryError or a download
+        pool = ThreadPoolExecutor(max_workers=self.workers)
+        try:
+            for package in packages:
                 try:
-                    history, history_warnings = future.result()
+                    outcome = self._cached(package, parse) or pool.submit(self._download, package)
                 except RegistryError as exc:
-                    failures.append(AttritionRecord(package, exc.reason, str(exc)))
+                    outcome = exc
+                outcomes.append(outcome)
+            for package in packages:
+                outcome = outcomes.popleft()  # frees a downloaded releases map once ordered
+                if isinstance(outcome, Future):
+                    try:
+                        outcome = _history(package, outcome.result(), parse)
+                    except RegistryError as exc:
+                        outcome = exc
+                if isinstance(outcome, RegistryError):
+                    failures.append(AttritionRecord(package, outcome.reason, str(outcome)))
                     continue
+                history, history_warnings = outcome
                 histories[package] = history
                 warnings.extend(history_warnings)
+        finally:
+            pool.shutdown(cancel_futures=True)
         return histories, tuple(warnings), tuple(failures)
 
 

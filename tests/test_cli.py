@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -802,6 +803,27 @@ def test_ingest_transport_failure_is_an_environment_error(tmp_path, monkeypatch,
     assert not snap_path.exists()
     assert len(transport.calls) == 3
     assert "snapshot not written" in capsys.readouterr().err
+
+
+def test_ingest_stops_at_a_failing_cache_write(tmp_path, capsys):
+    names = [f"pkg{i:03d}" for i in range(200)]
+    db_path = ingest_db(tmp_path, names)
+    cache = tmp_path / "cache"
+    cache.write_text("a regular file, so no cache file can be created under it")
+    calls = []
+
+    def transport(url):
+        calls.append(url)
+        time.sleep(0.01)
+        return 200, payload_for([("1.0", "2021-01-01T00:00:00Z")])
+
+    snap_path = tmp_path / "snap.json"
+    argv = ["ingest", "--db", db_path, "--snapshot", str(snap_path), "--cache", str(cache),
+            "--workers", "2"]
+    assert cli.main(argv, transport=transport) == 3
+    assert not snap_path.exists()
+    assert len(calls) < 20
+    assert capsys.readouterr().err.startswith("environment error: ")
 
 
 def test_ingest_offline_without_cache_is_an_environment_error(tmp_path, capsys):

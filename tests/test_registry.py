@@ -5,6 +5,8 @@ import io
 import json
 import stat
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from vulnseries import registry
 from vulnseries.errors import (
     OfflineCacheMissError,
     PackageNotFoundError,
@@ -65,7 +68,7 @@ def test_normalize_name(name, expected):
 def test_order_history_sorts_by_version_precedence():
     history, warnings = order_history("pkg", [("1.0", None), ("0.9", None)])
     assert [r.raw for r in history.releases] == ["0.9", "1.0"]
-    assert [str(v) for v in history.versions()] == ["0.9.0", "1.0.0"]
+    assert [str(r.version) for r in history.releases] == ["0.9.0", "1.0.0"]
     assert not warnings
 
 
@@ -285,6 +288,117 @@ def test_stale_bad_payload_is_refetched_online(tmp_path):
     assert not failures and len(histories["bad"]) == 2
 
 
+def test_fetch_many_has_several_downloads_in_flight():
+    # The barrier breaks, and the batch fails, unless two requests meet in it.
+    barrier = threading.Barrier(2, timeout=10)
+
+    def transport(url):
+        barrier.wait()
+        return 200, payload({"1.0": []})
+
+    client = PyPIClient(transport=transport, workers=4)
+    histories, _, failures = client.fetch_many(["a", "b", "c", "d"])
+    assert sorted(histories) == ["a", "b", "c", "d"] and not failures
+
+
+def test_offline_fetch_many_starts_no_thread(tmp_path, monkeypatch):
+    (tmp_path / "good.json").write_bytes(payload({"1.0": []}))
+    (tmp_path / "bad.json").write_bytes(b"<html>")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an offline batch submitted a task")
+
+    threads = set()
+
+    def recording_parse(text):
+        threads.add(threading.get_ident())
+        return parse_version(text)
+
+    monkeypatch.setattr(registry.ThreadPoolExecutor, "submit", refuse)
+    monkeypatch.setattr(registry, "parse_version", recording_parse)
+    client = PyPIClient(transport=refuse, cache_dir=tmp_path, offline=True, workers=4)
+    histories, _, failures = client.fetch_many(["bad", "good", "missing"])
+    assert set(histories) == {"good"}
+    assert [(f.package, f.reason) for f in failures] == [
+        ("bad", "bad-payload"),
+        ("missing", "offline-miss"),
+    ]
+    assert threads == {threading.get_ident()}
+
+
+def test_every_parse_runs_on_the_calling_thread(tmp_path, monkeypatch):
+    bodies = {name: payload({"1.0": [], f"1.{i + 1}": []}) for i, name in enumerate("abcdef")}
+    downloads = []
+
+    def transport(url):
+        downloads.append((url.split("/")[-2], threading.get_ident()))
+        return 200, bodies[url.split("/")[-2]]
+
+    PyPIClient(transport=transport, cache_dir=tmp_path).fetch_many(["a", "c", "e"])
+    # A cached releases map whose version key does not parse is downloaded again.
+    (tmp_path / "c.json").write_bytes(payload({"": []}))
+    parses = []
+
+    def recording_parse(text):
+        parses.append(threading.get_ident())
+        return parse_version(text)
+
+    monkeypatch.setattr(registry, "parse_version", recording_parse)
+    downloads.clear()
+    client = PyPIClient(transport=transport, cache_dir=tmp_path, workers=4)
+    histories, _, failures = client.fetch_many(list("abcdef"))
+    assert not failures
+    assert {name: [r.raw for r in h.releases] for name, h in histories.items()} == {
+        name: ["1.0", f"1.{i + 1}"] for i, name in enumerate("abcdef")
+    }
+    assert parses and set(parses) == {threading.get_ident()}
+    assert sorted(name for name, _ in downloads) == ["b", "c", "d", "f"]
+    assert threading.get_ident() not in {ident for _, ident in downloads}
+
+
+@pytest.mark.parametrize("first", ["missing", "duplicate"])
+def test_fetch_many_reports_in_package_order_when_the_first_download_ends_last(first):
+    replies = {"missing": (404, b""), "duplicate": (200, payload({"1.0": [], "1.0.0": []}))}
+    second = "duplicate" if first == "missing" else "missing"
+    plan = {"a": first, "b": second, "c": first, "d": second}
+    others_done = threading.Event()
+    finished = []
+    lock = threading.Lock()
+
+    def transport(url):
+        name = url.split("/")[-2]
+        if name == "a":
+            assert others_done.wait(timeout=10)
+        with lock:
+            finished.append(name)
+            if len(finished) == 3:
+                others_done.set()
+        return replies[plan[name]]
+
+    client = PyPIClient(transport=transport, workers=4)
+    histories, warnings, failures = client.fetch_many(["a", "b", "c", "d"])
+    assert finished[-1] == "a"
+    assert [f.package for f in failures] == [n for n in "abcd" if plan[n] == "missing"]
+    assert [w.split(":")[0] for w in warnings] == [n for n in "abcd" if plan[n] == "duplicate"]
+    assert list(histories) == [n for n in "abcd" if plan[n] == "duplicate"]
+
+
+def test_a_failing_cache_write_cancels_the_downloads_not_started(tmp_path):
+    cache = tmp_path / "cache"
+    cache.write_text("a regular file, so no cache file can be created under it")
+    calls = []
+
+    def transport(url):
+        calls.append(url)
+        time.sleep(0.01)
+        return 200, payload({"1.0": []})
+
+    client = PyPIClient(transport=transport, cache_dir=cache, workers=2)
+    with pytest.raises(OSError):
+        client.fetch_many([f"pkg{i:03d}" for i in range(200)])
+    assert len(calls) < 20
+
+
 def _fields(version):
     return [getattr(version, f.name) for f in dataclasses.fields(Version)]
 
@@ -350,7 +464,7 @@ def test_ordered_history_keys_strictly_increase(entries):
 @given(oracles.release_entries())
 def test_snapshot_loads_exactly_when_its_keys_strictly_increase(entries):
     history, _ = order_history("pkg", entries)
-    ordered = [release.as_dict() for release in history.releases]
+    ordered = [{"version": r.raw, "upload_time": r.upload_time} for r in history.releases]
     listed = [{"version": text, "upload_time": stamp} for text, stamp in entries]
     for rows in (ordered, listed):
         keys = [parse_version(row["version"]).key for row in rows]
@@ -378,14 +492,14 @@ def test_snapshot_load_parses_each_distinct_string_once(tmp_path):
         json.dumps({"schema_version": 1, "histories": histories}), encoding="utf-8"
     )
     first, second = load_snapshot(path), load_snapshot(path)
-    for a, b in zip(first["a"].versions(), first["b"].versions()):
-        assert a is b
+    for a, b in zip(first["a"].releases, first["b"].releases):
+        assert a.version is b.version
     # Equal versions spelled differently are parsed apart.
     for release in first["c"].releases:
         assert _fields(release.version) == _fields(parse_version(release.raw))
     # The memo lives for one call: a second load shares nothing with the first.
-    ids = {id(v) for h in first.values() for v in h.versions()}
-    assert ids.isdisjoint(id(v) for h in second.values() for v in h.versions())
+    ids = {id(r.version) for h in first.values() for r in h.releases}
+    assert ids.isdisjoint(id(r.version) for h in second.values() for r in h.releases)
 
 
 def test_loaded_fixture_versions_equal_fresh_parses_in_every_field():
@@ -440,7 +554,7 @@ def stdlib_snapshot(histories) -> bytes:
     doc = {
         "schema_version": 1,
         "histories": {
-            name: [release.as_dict() for release in history.releases]
+            name: [{"version": r.raw, "upload_time": r.upload_time} for r in history.releases]
             for name, history in histories.items()
         },
     }
