@@ -266,24 +266,18 @@ class PyPIClient:
             return releases
         raise last_error or TransportError(f"no response for {package!r}")
 
-    def fetch_history(self, package: str) -> _History:
-        """Fetch, parse, and order one package's release history, from the cache when possible.
-
-        A payload that cannot be interpreted, including a releases map with a version
-        key that does not parse, is a :class:`PayloadFormatError`, except that online a
-        cached one is downloaded again.  Only a payload that is a releases map is cached."""
-        cached = self._cached(package, parse_version)
-        return cached or _history(package, self._download(package), parse_version)
-
     def fetch_many(
         self, packages: Sequence[str]
     ) -> tuple[dict[str, ReleaseHistory], tuple[str, ...], tuple[AttritionRecord, ...]]:
         """Fetch several packages, downloading up to ``workers`` at once.
 
         Worker threads only run :meth:`_download`: request, check, cache.
-        The calling thread reads the cache and parses and orders every
-        history, in package order, through one memo of :func:`parse_version`
-        that ends with the call.  Offline, no thread is started.
+        Only a payload that is a releases map is cached.  The calling thread
+        reads the cache and parses and orders every history, in package
+        order, through one memo of :func:`parse_version` that ends with the
+        call.  Offline, no thread is started.  A payload that cannot be
+        interpreted, including a releases map with a version key that does
+        not parse, is a ``bad-payload``; online, a cached one is downloaded again.
 
         Failures never abort the batch: each :class:`RegistryError`
         becomes an :class:`AttritionRecord` under the error's ``reason``

@@ -35,9 +35,6 @@ class BinarySeries:
     package: str
     values: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 @dataclass(frozen=True)
 class AttritionReport:
@@ -68,9 +65,6 @@ class Corpus:
 
     def series(self) -> tuple[BinarySeries, ...]:
         return tuple(p.series for p in self.packages)
-
-    def __len__(self) -> int:
-        return len(self.packages)
 
 
 def fill_constraint(

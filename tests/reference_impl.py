@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
+from pathlib import Path
 
 from oracles import reference_mle, satisfies
 from vulnseries.versions import Version, compare, parse_version
@@ -152,8 +153,8 @@ def forecast_report(package: str, values: list[int], t: int, order: int) -> dict
 
 
 def corpus_series(db_path, snapshot_path) -> dict[str, list[int]]:
-    db = json.loads(open(db_path, "rb").read().decode("utf-8"))
-    snapshot = json.loads(open(snapshot_path, "rb").read().decode("utf-8"))
+    db = json.loads(Path(db_path).read_bytes().decode("utf-8"))
+    snapshot = json.loads(Path(snapshot_path).read_bytes().decode("utf-8"))
     histories = snapshot["histories"]
     out = {}
     for package in sorted(k for k in db if not k.startswith("$")):

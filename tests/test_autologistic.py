@@ -523,6 +523,16 @@ def test_run_experiment_collects_reports_and_exclusions():
         assert 5 in result.summaries
 
 
+def test_run_experiment_records_a_failed_training_fit_for_that_horizon_only():
+    edge = series([0] * 20 + [1] * 10 + [1, 0] * 5, "edge")
+    result = run_experiment([edge])
+    assert result.orders["edge"].order == 2
+    assert [report.t for report in result.reports] == [5]
+    [record] = result.exclusions
+    assert (record.package, record.reason, record.t) == ("edge", "forecast-failed", 10)
+    assert record.detail.startswith("'edge': training fit failed: perfect separation: ")
+
+
 # --- simulation --------------------------------------------------------------
 
 

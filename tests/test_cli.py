@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import time
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -294,13 +295,19 @@ def test_build_reports_attrition(tmp_path):
 
 
 def test_database_skip_without_an_advisory_id_names_the_package_alone(tmp_path, capsys):
-    db = {"pkg": [42, {"id": "pyup.io-1", "specs": ["<1.0"], "cve": "CVE-BAD"}]}
+    db = {
+        "pkg": [42, {"id": "pyup.io-1", "specs": ["<1.0"], "cve": "CVE-BAD"}],
+        "mapped": {"id": "pyup.io-2", "specs": ["<1.0"]},
+        "spelled": "<1.0",
+    }
     db_path, snap_path = write_corpus(tmp_path, db, {"pkg": ["0.9", "1.0"]})
     run_json(tmp_path, ["build", "--db", db_path, "--snapshot", snap_path])
     err = capsys.readouterr().err
     warnings = [line for line in err.splitlines() if line.startswith("warning:")]
     assert warnings == [
         "warning: skipped pkg: entry-not-an-object (index 0)",
+        "warning: skipped mapped: package-not-an-array (dict)",
+        "warning: skipped spelled: package-not-an-array (str)",
         "warning: pkg/pyup.io-1: malformed-cve ('CVE-BAD')",
     ]
 
@@ -353,6 +360,18 @@ def test_build_csv_and_attrition_out(tmp_path):
     attrition_lines = attrition_out.read_text(encoding="utf-8").splitlines()
     assert attrition_lines[0] == "package,advisory_id,reason,detail"
     assert any("not-equal-operator" in line for line in attrition_lines)
+
+
+def test_build_csv_starts_with_a_timestamp_line_by_default(tmp_path):
+    plain, stamped = tmp_path / "plain.csv", tmp_path / "stamped.csv"
+    argv = ["build", "--db", DB, "--snapshot", SNAPSHOT, "--format", "csv", "--out"]
+    assert cli.main(argv + [str(plain), "--no-timestamp"]) == 0
+    assert cli.main(argv + [str(stamped)]) == 0
+    first, rest = stamped.read_text(encoding="utf-8").split("\n", 1)
+    prefix = "# generated_at "
+    assert first.startswith(prefix)
+    assert datetime.fromisoformat(first[len(prefix):]).utcoffset().total_seconds() == 0
+    assert rest == plain.read_text(encoding="utf-8")
 
 
 def test_build_output_is_byte_stable_without_timestamp(tmp_path):
@@ -772,6 +791,36 @@ def test_ingest_warns_about_a_filtered_name_the_database_lacks(tmp_path, capsys)
     )
     assert transport.calls == ["https://pypi.org/pypi/aaa/json"]
     assert set(load_snapshot(snap_path)) == {"aaa"}
+
+
+@pytest.mark.parametrize(
+    "versions,warning,kept",
+    [
+        (
+            [("1.0", "2021-01-01T00:00:00Z"), ("1.0.0", "2021-01-02T00:00:00Z")],
+            "warning: aaa: duplicate release '1.0.0' collapses into '1.0'",
+            ["1.0"],
+        ),
+        (
+            [("1.0", "2021-02-01T00:00:00Z"), ("1.1", "2021-01-01T00:00:00Z")],
+            "warning: aaa: version order disagrees with upload order near '1.1'",
+            ["1.0", "1.1"],
+        ),
+    ],
+    ids=["duplicate", "upload-order"],
+)
+def test_ingest_forwards_history_warnings(tmp_path, capsys, versions, warning, kept):
+    db_path = ingest_db(tmp_path, ["aaa"])
+    transport = make_transport({"aaa": (200, payload_for(versions))})
+    snap_path = tmp_path / "snap.json"
+    code = cli.main(
+        ["ingest", "--db", db_path, "--snapshot", str(snap_path)], transport=transport
+    )
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [warning]
+    assert "ingest: 1 histories written" in captured.out
+    assert [r.raw for r in load_snapshot(snap_path)["aaa"].releases] == kept
 
 
 def test_ingest_bad_payload_is_a_data_error(tmp_path, capsys):

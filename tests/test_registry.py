@@ -16,9 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from vulnseries import registry
 from vulnseries.errors import (
-    OfflineCacheMissError,
-    PackageNotFoundError,
-    PayloadFormatError,
+    AttritionRecord,
     SnapshotNotFoundError,
     SnapshotSchemaError,
     TransportError,
@@ -100,23 +98,26 @@ def test_timed_entry_wins_a_collapse_over_untimed():
     assert len(warnings) == 1
 
 
-def test_fetch_history_parses_and_orders():
+def test_fetch_many_parses_and_orders():
     transport = make_transport(
         [(200, payload({"1.10": [], "1.2": [{"upload_time": "2020-02-02T00:00:00Z"}]}))]
     )
     client = PyPIClient(transport=transport)
-    history, warnings = client.fetch_history("pkg")
-    assert [r.raw for r in history.releases] == ["1.2", "1.10"]
-    assert history.releases[0].upload_time == "2020-02-02T00:00:00Z"
+    histories, warnings, failures = client.fetch_many(["pkg"])
+    assert [r.raw for r in histories["pkg"].releases] == ["1.2", "1.10"]
+    assert histories["pkg"].releases[0].upload_time == "2020-02-02T00:00:00Z"
     assert transport.calls == ["https://pypi.org/pypi/pkg/json"]
-    assert not warnings
+    assert not warnings and not failures
 
 
 def test_http_404_is_package_not_found_without_retry():
     transport = make_transport([(404, b"")])
     client = PyPIClient(transport=transport, sleep=lambda s: None)
-    with pytest.raises(PackageNotFoundError):
-        client.fetch_history("ghost")
+    histories, _, failures = client.fetch_many(["ghost"])
+    assert not histories
+    assert failures == (
+        AttritionRecord("ghost", "not-found", "package 'ghost' not found on the index"),
+    )
     assert len(transport.calls) == 1
 
 
@@ -124,68 +125,90 @@ def test_server_errors_retry_with_exponential_backoff():
     transport = make_transport([(500, b""), (503, b""), (200, payload({"1.0": []}))])
     naps = []
     client = PyPIClient(transport=transport, sleep=naps.append)
-    history, _ = client.fetch_history("pkg")
-    assert len(history) == 1
+    histories, _, failures = client.fetch_many(["pkg"])
+    assert len(histories["pkg"]) == 1 and not failures
     assert naps == [0.5, 1.0]
+    assert len(transport.calls) == 3
 
 
 def test_exhausted_retries_raise_transport_error():
     transport = make_transport([(500, b""), (500, b""), (500, b"")])
     client = PyPIClient(transport=transport, sleep=lambda s: None)
-    with pytest.raises(TransportError):
-        client.fetch_history("pkg")
+    histories, _, failures = client.fetch_many(["pkg"])
+    assert not histories
+    assert failures == (AttritionRecord("pkg", "transport", "index returned HTTP 500 for 'pkg'"),)
     assert len(transport.calls) == 3
 
 
 def test_empty_releases_map_means_not_found():
     transport = make_transport([(200, payload({}))])
     client = PyPIClient(transport=transport)
-    with pytest.raises(PackageNotFoundError):
-        client.fetch_history("hollow")
+    histories, _, failures = client.fetch_many(["hollow"])
+    assert not histories
+    assert failures == (
+        AttritionRecord("hollow", "not-found", "package 'hollow' has no published releases"),
+    )
 
 
-@pytest.mark.parametrize("body", [b"not json", b'{"releases": 7}', b"[]", b"\x80 not text"])
+_MALFORMED = {
+    b"not json": "payload for 'pkg' is not JSON: ",
+    b'{"releases": 7}': "payload for 'pkg' has no releases map",
+    b"[]": "payload for 'pkg' has no releases map",
+    b"\x80 not text": "payload for 'pkg' is not JSON: ",
+}
+
+
+@pytest.mark.parametrize("body", list(_MALFORMED))
 def test_malformed_payloads_raise_format_error(body):
     client = PyPIClient(transport=make_transport([(200, body)]))
-    with pytest.raises(PayloadFormatError):
-        client.fetch_history("pkg")
+    histories, _, [failure] = client.fetch_many(["pkg"])
+    assert not histories
+    assert (failure.package, failure.reason) == ("pkg", "bad-payload")
+    assert failure.detail.startswith(_MALFORMED[body])
 
 
 def test_cache_serves_second_fetch_without_transport(tmp_path):
     transport = make_transport([(200, payload({"1.0": []}))])
     client = PyPIClient(transport=transport, cache_dir=tmp_path)
-    client.fetch_history("pkg")
-    client.fetch_history("pkg")
+    first, _, _ = client.fetch_many(["pkg"])
+    second, _, failures = client.fetch_many(["pkg"])
     assert len(transport.calls) == 1
     assert (tmp_path / "pkg.json").is_file()
+    assert second["pkg"] == first["pkg"] and not failures
 
 
 def test_offline_mode_uses_cache_or_fails(tmp_path):
     warm = PyPIClient(
         transport=make_transport([(200, payload({"1.0": []}))]), cache_dir=tmp_path
     )
-    warm.fetch_history("pkg")
+    warm.fetch_many(["pkg"])
 
     def explode(url):
         raise AssertionError("offline client must not touch the network")
 
     offline = PyPIClient(transport=explode, cache_dir=tmp_path, offline=True)
-    history, _ = offline.fetch_history("pkg")
-    assert len(history) == 1
-    with pytest.raises(OfflineCacheMissError):
-        offline.fetch_history("never-cached")
+    histories, _, failures = offline.fetch_many(["pkg", "never-cached"])
+    assert len(histories["pkg"]) == 1
+    assert failures == (
+        AttritionRecord(
+            "never-cached",
+            "offline-miss",
+            "offline mode and no cached payload for 'never-cached'",
+        ),
+    )
 
 
 def test_bad_payload_is_not_cached(tmp_path):
     bad = PyPIClient(transport=make_transport([(200, b"<html>")]), cache_dir=tmp_path)
-    with pytest.raises(PayloadFormatError):
-        bad.fetch_history("flask")
+    _, _, [failure] = bad.fetch_many(["flask"])
+    assert failure.reason == "bad-payload"
+    assert failure.detail.startswith("payload for 'flask' is not JSON: ")
     assert not (tmp_path / "flask.json").exists()
     good = PyPIClient(
         transport=make_transport([(200, payload({"1.0": []}))]), cache_dir=tmp_path
     )
-    history, _ = good.fetch_history("flask")
-    assert len(history) == 1
+    histories, _, failures = good.fetch_many(["flask"])
+    assert len(histories["flask"]) == 1 and not failures
 
 
 def test_unparsable_cache_entry_is_refetched_online_only(tmp_path):
@@ -195,12 +218,13 @@ def test_unparsable_cache_entry_is_refetched_online_only(tmp_path):
         raise AssertionError("offline client must not touch the network")
 
     offline = PyPIClient(transport=explode, cache_dir=tmp_path, offline=True)
-    with pytest.raises(PayloadFormatError):
-        offline.fetch_history("flask")
+    histories, _, [failure] = offline.fetch_many(["flask"])
+    assert not histories and failure.reason == "bad-payload"
+    assert failure.detail.startswith("payload for 'flask' is not JSON: ")
     transport = make_transport([(200, payload({"1.0": []}))])
     online = PyPIClient(transport=transport, cache_dir=tmp_path)
-    history, _ = online.fetch_history("flask")
-    assert len(history) == 1
+    histories, _, failures = online.fetch_many(["flask"])
+    assert len(histories["flask"]) == 1 and not failures
     assert len(transport.calls) == 1
     assert json.loads((tmp_path / "flask.json").read_bytes())["releases"] == {"1.0": []}
 
@@ -208,7 +232,7 @@ def test_unparsable_cache_entry_is_refetched_online_only(tmp_path):
 def test_cache_dir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("VULNSERIES_CACHE", str(tmp_path))
     client = PyPIClient(transport=make_transport([(200, payload({"1.0": []}))]))
-    client.fetch_history("pkg")
+    client.fetch_many(["pkg"])
     assert (tmp_path / "pkg.json").is_file()
 
 
@@ -539,6 +563,31 @@ def test_snapshot_and_cache_files_get_the_mode_open_gives(tmp_path):
 
     assert mode(tmp_path / "snap.json") == mode(plain)
     assert mode(tmp_path / "pkg.json") == mode(plain)
+
+
+@pytest.mark.parametrize("failure", ["row", "rename"])
+def test_a_failed_snapshot_write_keeps_the_previous_file(tmp_path, monkeypatch, failure):
+    path = tmp_path / "snap.json"
+    history, _ = order_history("pkg", [("1.0", None), ("1.1", None)])
+    save_snapshot(path, {"pkg": history})
+    before = path.read_bytes()
+    histories = {"alpha": history, "pkg": history}
+    if failure == "row":
+        # An int upload time makes the row encoder raise after "alpha" is written.
+        bad = Release(parse_version("1.0"), "1.0", 20200101)
+        histories["zeta"] = ReleaseHistory("zeta", (bad,))
+        expected = TypeError
+    else:
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(registry.os, "replace", refuse)
+        expected = OSError
+    with pytest.raises(expected):
+        save_snapshot(path, histories)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["snap.json"]
 
 
 def test_snapshot_write_is_deterministic(tmp_path):

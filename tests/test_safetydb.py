@@ -182,6 +182,18 @@ def test_bad_entries_are_skipped_with_reasons(entry, reason):
     assert result.skipped[0].package == "pkg"
 
 
+@pytest.mark.parametrize(
+    "entries,type_name", [({"id": "x", "specs": ["<1.0"]}, "dict"), ("<1.0", "str")]
+)
+def test_a_package_that_is_not_an_array_is_skipped_with_its_type(entries, type_name):
+    doc = {"odd": entries, "pkg": [{"id": "good", "specs": ["<2.0"]}]}
+    result = load_database(json.dumps(doc))
+    assert list(result.advisories) == ["pkg"]
+    assert [(s.package, s.reason, s.detail) for s in result.skipped] == [
+        ("odd", "package-not-an-array", type_name)
+    ]
+
+
 def test_skips_do_not_poison_siblings():
     doc = {"pkg": [{"id": "bad"}, {"id": "good", "specs": ["<2.0"]}]}
     result = load_database(json.dumps(doc))

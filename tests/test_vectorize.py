@@ -242,7 +242,7 @@ def test_packages_come_out_sorted():
     }
     corpus = corpus_from(doc, {"zeta": TEN, "alpha": TEN})
     assert [p.package for p in corpus.packages] == ["alpha", "zeta"]
-    assert len(corpus) == 2
+    assert len(corpus.packages) == 2
     assert [w.package for w in corpus.series()] == ["alpha", "zeta"]
 
 
