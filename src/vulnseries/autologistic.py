@@ -105,17 +105,6 @@ class ModelFit:
 
 
 @dataclass(frozen=True)
-class Eligibility:
-    """Forecast-eligibility verdict with the measured quantities."""
-
-    eligible: bool
-    reason: str | None
-    r: int
-    window: int
-    std: float | None
-
-
-@dataclass(frozen=True)
 class OrderSelection:
     """Selected order plus the per-order comparison AICs.
 
@@ -433,20 +422,23 @@ def eligibility(
     *,
     min_releases: int = MIN_RELEASES,
     min_std: float = MIN_STD,
-) -> Eligibility:
-    """Apply the length and training-variance filters for one horizon."""
+) -> AttritionRecord | None:
+    """Apply the length and training-variance filters for one horizon.
+
+    Returns ``None`` when the horizon is eligible, else its exclusion record.
+    """
     r = len(w.values)
     window = r - (t + order)
     if r < min_releases:
-        return Eligibility(False, "too-few-releases", r, window, None)
+        return AttritionRecord(w.package, "too-few-releases", "", t=t)
     if window < 1:
-        return Eligibility(False, "no-training-data", r, window, None)
+        return AttritionRecord(w.package, "no-training-data", "", t=t)
     training = w.values[:window]
     mean = sum(training) / window
     std = math.sqrt(sum((v - mean) ** 2 for v in training) / window)
     if std < min_std:
-        return Eligibility(False, "low-training-variance", r, window, std)
-    return Eligibility(True, None, r, window, std)
+        return AttritionRecord(w.package, "low-training-variance", f"std={std:.4f}", t=t)
+    return None
 
 
 def threshold_accuracy(probs: Sequence[float], actuals: Sequence[int]) -> float:
@@ -498,9 +490,9 @@ def forecast(
     sensitivity checks); test-window predictions always condition on the
     actual observed lag values.
     """
-    verdict = eligibility(w, t, order, min_releases=min_releases, min_std=min_std)
-    if not verdict.eligible:
-        raise NotEligibleError(f"{w.package!r}: {verdict.reason}", verdict=verdict)
+    record = eligibility(w, t, order, min_releases=min_releases, min_std=min_std)
+    if record is not None:
+        raise NotEligibleError(record)
     full = build_lag_design(w, order)
     training = full if full_sample else LagDesign(full.X[:-t], full.y[:-t])
     try:
@@ -606,11 +598,7 @@ def run_experiment(
                     )
                 )
             except NotEligibleError as exc:
-                verdict = exc.verdict
-                detail = f"std={verdict.std:.4f}" if verdict.std is not None else ""
-                exclusions.append(
-                    AttritionRecord(w.package, verdict.reason or "", detail, t=t)
-                )
+                exclusions.append(exc.record)
             except ForecastError as exc:
                 exclusions.append(
                     AttritionRecord(w.package, "forecast-failed", str(exc), t=t)

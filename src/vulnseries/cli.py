@@ -198,7 +198,7 @@ def _load_db(args: argparse.Namespace) -> safetydb.DatabaseLoadResult:
 def _filter_packages(
     db: safetydb.DatabaseLoadResult, packages: Sequence[str] | None
 ) -> dict[str, tuple[safetydb.Advisory, ...]]:
-    if not packages:
+    if packages is None:
         return dict(db.advisories)
     wanted = set(packages)
     for name in sorted(wanted.difference(db.advisories)):
@@ -391,6 +391,7 @@ _non_negative = _checked(
 )
 _fraction = _checked(float, lambda x: 0 < x <= 1, "a fraction in (0, 1]")
 _path = _checked(str, bool, "a non-empty path")
+_package_names = _checked(_names, bool, "a list of one or more package names")
 _horizons = _checked(
     lambda text: tuple(int(token) for token in _names(text)),
     lambda ts: ts and min(ts) >= 1 and len(set(ts)) == len(ts),
@@ -402,7 +403,7 @@ def _add_inputs(parser: argparse.ArgumentParser) -> None:
     """The inputs every subcommand reads."""
     parser.add_argument("--db", required=True, type=_path, help="advisory database JSON file")
     parser.add_argument("--snapshot", required=True, type=_path, help="release snapshot file")
-    parser.add_argument("--packages", type=_names, help="comma-separated package filter")
+    parser.add_argument("--packages", type=_package_names, help="comma-separated package filter")
     parser.add_argument(
         "--no-timestamp",
         action="store_true",

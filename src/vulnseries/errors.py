@@ -115,11 +115,11 @@ class OrderSelectionError(VulnseriesError):
 
 
 class NotEligibleError(VulnseriesError):
-    """The series fails the forecast eligibility filters; ``verdict`` says how."""
+    """The series fails the forecast eligibility filters; ``record`` says how."""
 
-    def __init__(self, message: str, *, verdict):
-        super().__init__(message)
-        self.verdict = verdict
+    def __init__(self, record: AttritionRecord):
+        super().__init__(f"{record.package!r}: {record.reason}")
+        self.record = record
 
 
 class ForecastError(VulnseriesError):

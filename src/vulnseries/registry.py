@@ -20,7 +20,6 @@ import functools
 import json
 import os
 import re
-import tempfile
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -49,9 +48,6 @@ _CACHE_ENV = "VULNSERIES_CACHE"
 # _BACKOFF_S * 2 ** (n - 1) seconds.
 _MAX_ATTEMPTS = 3
 _BACKOFF_S = 0.5
-# Read once: os.umask sets as it reads, and fetch_many writes from threads.
-_UMASK = os.umask(0o022)
-os.umask(_UMASK)
 
 Transport = Callable[[str], tuple[int, bytes]]
 
@@ -183,17 +179,17 @@ def _atomic_file(path: Path, mode: str, encoding: str | None = None) -> Iterator
 
     A snapshot streams into it without a second copy in memory; on any
     error the temporary file is removed and ``path`` is left as it was.
+    ``open`` creates it (exclusively), so its mode follows the current umask.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}{os.urandom(6).hex()}.tmp")
+    handle = open(tmp, mode.replace("w", "x"), encoding=encoding)
     try:
-        with os.fdopen(fd, mode, encoding=encoding) as handle:
+        with handle:
             yield handle
-        os.chmod(tmp, 0o666 & ~_UMASK)  # what open() gives, not mkstemp's 0600
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

@@ -73,8 +73,7 @@ def comfortable(values: list[int]) -> int | None:
         if not rounding_safe(sel.aics[k], ref_aics[k]):
             return None
     for t in HORIZONS:
-        verdict = autologistic.eligibility(w, t, sel.order)
-        if not verdict.eligible:
+        if autologistic.eligibility(w, t, sel.order) is not None:
             return None
         rep = autologistic.forecast(w, t, sel.order)
         if not rep.converged or rep.flags:
@@ -125,8 +124,8 @@ def echo_ok(w: list[int]) -> bool:
         if not rounding_safe(sel.aics[k], ref_aics[k]):
             return False
     for t in HORIZONS:
-        verdict = autologistic.eligibility(bs, t, sel.order)
-        if verdict.eligible or verdict.reason != "low-training-variance":
+        record = autologistic.eligibility(bs, t, sel.order)
+        if record is None or record.reason != "low-training-variance":
             return False
     return True
 

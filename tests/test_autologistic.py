@@ -28,6 +28,7 @@ from vulnseries.autologistic import (
     threshold_accuracy,
 )
 from vulnseries.errors import (
+    AttritionRecord,
     ForecastError,
     InsufficientDataError,
     NotEligibleError,
@@ -341,32 +342,26 @@ def test_order_cap_leaving_no_response_is_a_selection_error():
 
 
 def test_eligibility_requires_enough_releases():
-    verdict = eligibility(series([0, 1] * 12), t=5, order=1)
-    assert not verdict.eligible
-    assert verdict.reason == "too-few-releases"
+    record = eligibility(series([0, 1] * 12), t=5, order=1)
+    assert record == AttritionRecord("pkg", "too-few-releases", "", t=5)
 
 
 def test_eligibility_requires_training_variance():
     w = series([0] * 23 + [1, 0, 1, 1, 0, 1, 0])
-    verdict = eligibility(w, t=5, order=1)
-    assert not verdict.eligible
-    assert verdict.reason == "low-training-variance"
-    assert verdict.std == pytest.approx(math.sqrt(23) / 24)
+    record = eligibility(w, t=5, order=1)
+    assert record.reason == "low-training-variance"
+    assert record.detail == "std=0.1998"  # sqrt(23) / 24
+    assert record.t == 5
 
 
 def test_eligibility_requires_a_training_window():
     w = series([0, 1] * 15)
-    verdict = eligibility(w, t=29, order=1)
-    assert not verdict.eligible
-    assert verdict.reason == "no-training-data"
+    record = eligibility(w, t=29, order=1)
+    assert record == AttritionRecord("pkg", "no-training-data", "", t=29)
 
 
-def test_eligible_series_reports_window_and_std():
-    w = series([0, 1] * 15)
-    verdict = eligibility(w, t=5, order=1)
-    assert verdict.eligible and verdict.reason is None
-    assert verdict.window == 24
-    assert verdict.std == pytest.approx(0.5)
+def test_eligible_series_has_no_exclusion_record():
+    assert eligibility(series([0, 1] * 15), t=5, order=1) is None
 
 
 # --- scoring ---------------------------------------------------------------
@@ -398,7 +393,7 @@ def eligible_series(seed=101, n=40):
     while True:
         values = simulate((-0.3, 0.8), n, rng)
         w = series(values)
-        if not eligibility(w, t=10, order=1).eligible:
+        if eligibility(w, t=10, order=1) is not None:
             continue
         try:
             forecast(w, t=10, order=1)
@@ -447,7 +442,7 @@ def test_full_sample_mode_is_flagged():
 def test_forecast_wraps_training_fit_failures():
     # The training prefix [0]*20 + [1]*10 is quasi-separated at order 1.
     w = series([0] * 20 + [1] * 10 + [1, 0] * 5)
-    assert eligibility(w, t=10, order=1).eligible
+    assert eligibility(w, t=10, order=1) is None
     with pytest.raises(ForecastError):
         forecast(w, t=10, order=1)
 
@@ -531,6 +526,38 @@ def test_run_experiment_records_a_failed_training_fit_for_that_horizon_only():
     [record] = result.exclusions
     assert (record.package, record.reason, record.t) == ("edge", "forecast-failed", 10)
     assert record.detail.startswith("'edge': training fit failed: perfect separation: ")
+
+
+def test_horizon_exclusions_are_the_eligibility_records():
+    rng = random.Random(20261019)
+    corpus = []
+    for i in range(40):
+        beta = (rng.uniform(-3.5, 0.5), rng.uniform(-1, 2))
+        corpus.append(series(simulate(beta, rng.randint(20, 60), rng), f"p{i}"))
+    horizons, min_std = (5, 10, 40), 0.45
+    result = run_experiment(corpus, horizons, min_std=min_std)
+    excluded = {
+        (record.package, record.t): record
+        for record in result.exclusions
+        if record.t is not None and record.reason != "forecast-failed"
+    }
+    reasons = set()
+    for w in corpus:
+        if w.package not in result.orders:
+            continue
+        order = result.orders[w.package].order
+        for t in horizons:
+            record = eligibility(w, t, order, min_std=min_std)
+            assert excluded.pop((w.package, t), None) == record
+            if record is None:
+                continue
+            reasons.add(record.reason)
+            with pytest.raises(NotEligibleError) as caught:
+                forecast(w, t, order, min_std=min_std)
+            assert caught.value.record == record
+            assert str(caught.value) == f"{w.package!r}: {record.reason}"
+    assert not excluded
+    assert reasons == {"no-training-data", "low-training-variance"}
 
 
 # --- simulation --------------------------------------------------------------

@@ -200,6 +200,10 @@ def test_negative_aic_margin_is_a_usage_error():
         ("markov", "--alpha", "-1"),
         ("ingest", "--workers", "0"),
         ("ingest", "--workers", "-3"),
+        ("build", "--packages", ""),
+        ("build", "--packages", ","),
+        ("ingest", "--packages", ""),
+        ("ingest", "--packages", " , "),
     ],
 )
 def test_out_of_range_value_is_one_usage_error_line(capsys, command, flag, value):

@@ -3,10 +3,13 @@
 import dataclasses
 import io
 import json
+import os
 import stat
+import sys
 import tempfile
 import threading
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -108,6 +111,26 @@ def test_fetch_many_parses_and_orders():
     assert histories["pkg"].releases[0].upload_time == "2020-02-02T00:00:00Z"
     assert transport.calls == ["https://pypi.org/pypi/pkg/json"]
     assert not warnings and not failures
+
+
+def test_default_transport_passes_the_response_through(monkeypatch):
+    class RequestException(Exception):
+        pass
+
+    def get(url, timeout):
+        if url.endswith("/down/json"):
+            raise RequestException("connection refused")
+        return types.SimpleNamespace(status_code=503, content=b"busy")
+
+    stub = types.ModuleType("requests")
+    stub.get, stub.RequestException = get, RequestException
+    monkeypatch.setitem(sys.modules, "requests", stub)
+    assert registry._default_transport("https://index.test/pypi/pkg/json") == (503, b"busy")
+    url = "https://index.test/pypi/down/json"
+    with pytest.raises(TransportError) as caught:
+        registry._default_transport(url)
+    assert str(caught.value) == f"request to {url} failed: connection refused"
+    assert isinstance(caught.value.__cause__, RequestException)
 
 
 def test_http_404_is_package_not_found_without_retry():
@@ -549,20 +572,31 @@ def test_snapshot_round_trip(tmp_path):
 
 
 def test_snapshot_and_cache_files_get_the_mode_open_gives(tmp_path):
-    plain = tmp_path / "plain.json"
-    with open(plain, "w"):
-        pass
-    history, _ = order_history("pkg", [("1.0", None)])
-    save_snapshot(tmp_path / "snap.json", {"pkg": history})
-    client = PyPIClient(transport=make_transport([(200, payload({"1.0": []}))]), cache_dir=tmp_path)
-    histories, _, failures = client.fetch_many(["pkg"])
-    assert set(histories) == {"pkg"} and not failures
-
     def mode(path):
         return stat.S_IMODE(path.stat().st_mode)
 
-    assert mode(tmp_path / "snap.json") == mode(plain)
-    assert mode(tmp_path / "pkg.json") == mode(plain)
+    def check(directory):
+        directory.mkdir()
+        plain = directory / "plain.json"
+        with open(plain, "w"):
+            pass
+        history, _ = order_history("pkg", [("1.0", None)])
+        save_snapshot(directory / "snap.json", {"pkg": history})
+        transport = make_transport([(200, payload({"1.0": []}))])
+        client = PyPIClient(transport=transport, cache_dir=directory)
+        histories, _, failures = client.fetch_many(["pkg"])
+        assert set(histories) == {"pkg"} and not failures
+        assert mode(directory / "snap.json") == mode(plain)
+        assert mode(directory / "pkg.json") == mode(plain)
+        return mode(plain)
+
+    check(tmp_path / "inherited")
+    # A umask set after the module was imported applies to the next write.
+    previous = os.umask(0o077)
+    try:
+        assert check(tmp_path / "private") == 0o600
+    finally:
+        os.umask(previous)
 
 
 @pytest.mark.parametrize("failure", ["row", "rename"])
