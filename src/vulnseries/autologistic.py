@@ -110,7 +110,10 @@ class OrderSelection:
 
     ``aics`` holds the AICs of the candidate fits, all conditioned on
     the same initial window so their likelihoods are comparable;
-    ``skipped`` maps each order whose fit failed to the error message.
+    ``skipped`` maps every other candidate order to the reason: the
+    error message of a failed fit, or, for an order above the first
+    separated order l, which is not fitted, ``order <l> is separated:``
+    followed by that fit's message.
     """
 
     order: int
@@ -376,9 +379,12 @@ def select_order(
     weak evidence, so orders that close count as tied and ties resolve
     toward parsimony.  A margin of 0 reduces to the plain AIC minimum.
 
-    Orders whose fit fails are skipped with a reason; no candidate
-    fitting at all, or a cap that leaves no response to fit, is a
-    selection error.
+    Orders whose fit fails are skipped with a reason.  The first order
+    whose fit finds separation ends the search: every larger order is
+    separated too, and is skipped without a fit, with the reason
+    ``order <l> is separated: <message>``.  A singular or too-short fit
+    skips only its own order.  No candidate fitting at all, or a cap
+    that leaves no response to fit, is a selection error.
     """
     if not parsimony_margin >= 0:
         raise ValueError("parsimony_margin must be non-negative")
@@ -402,7 +408,14 @@ def select_order(
         design = LagDesign(np.ascontiguousarray(shared.X[:, : order + 1]), shared.y)
         try:
             aics[order] = fit(design, ridge_fallback=ridge_fallback).aic
-        except (SeparationError, SingularModelError, InsufficientDataError) as exc:
+        except SeparationError as exc:
+            # A direction b separating order l gives (b, 0) separating
+            # every larger order on the same responses: none has an MLE.
+            skipped[order] = str(exc)
+            for larger in range(order + 1, cap + 1):
+                skipped[larger] = f"order {order} is separated: {exc}"
+            break
+        except (SingularModelError, InsufficientDataError) as exc:
             skipped[order] = str(exc)
     if not aics:
         raise OrderSelectionError(

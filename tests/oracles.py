@@ -3,7 +3,8 @@
 Every helper here recomputes an answer the package also produces, but by
 a different route: per-release comparison instead of positional fills,
 scipy quasi-Newton instead of the package's own Newton solver, central
-finite differences instead of the analytic score.  Agreement between the
+finite differences instead of the analytic score, a linear program
+instead of the solver's separation checks.  Agreement between the
 two routes is then evidence rather than tautology.  Version order has
 its own reference too: a component-by-component parse, key and canonical
 form over a separate copy of the grammar.
@@ -360,6 +361,29 @@ def reference_mle(
         options={"gtol": 1e-10, "maxiter": 1000},
     )
     return result.x, -float(result.fun)
+
+
+def lp_separated(X: np.ndarray, y: np.ndarray, tol: float = 1e-7) -> bool:
+    """Whether the logistic MLE of ``y`` on ``X`` fails to exist, by linear programming.
+
+    With s_i = 2 y_i - 1, the data are separated (completely or
+    quasi-completely) exactly when some direction b has s_i x_i b >= 0
+    on every row and > 0 on at least one (Albert & Anderson, 1984).  The
+    LP maximizes sum_i s_i x_i b over those constraints within the box
+    |b_j| <= 1 (Konis, 2007); b = 0 is feasible and the box bounds it, so
+    the optimum exists and is positive exactly under separation.
+    """
+    A = (2.0 * np.asarray(y, dtype=float) - 1.0)[:, None] * np.asarray(X, dtype=float)
+    result = optimize.linprog(
+        -A.sum(axis=0),
+        A_ub=-A,
+        b_ub=np.zeros(len(A)),
+        bounds=[(-1.0, 1.0)] * A.shape[1],
+        method="highs",
+    )
+    if result.status != 0:
+        raise RuntimeError(f"separation LP failed: {result.message}")
+    return -result.fun > tol
 
 
 def fd_gradient(fun, x: Sequence[float], eps: float = 1e-5) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Lag designs, logistic MLE, order selection, and forecast scoring."""
 
+import itertools
 import math
 import random
 
@@ -324,6 +325,113 @@ def test_all_candidates_failing_is_a_selection_error():
     selection = select_order(alternating, ridge_fallback=True)
     assert selection.order >= 1
     assert not selection.skipped
+
+
+def _lp_separated_rows(design, memo):
+    # Separation depends only on the set of distinct (row, response)
+    # pairs, so the LP runs once per set.
+    rows = np.unique(np.column_stack([design.X, design.y]), axis=0)
+    key = rows.tobytes()
+    if key not in memo:
+        memo[key] = oracles.lp_separated(rows[:, :-1], rows[:, -1])
+    return memo[key]
+
+
+def test_every_separation_verdict_is_lp_separated():
+    # Pruning the orders above a separated one is exact only if
+    # SeparationError is never a false positive; check every 0/1 series
+    # of length up to 10 at orders 1-3 against the LP.
+    memo = {}
+    verdicts = 0
+    for length in range(3, 11):
+        for values in itertools.product((0, 1), repeat=length):
+            for order in range(1, 4):
+                if length - order < order + 1:
+                    continue
+                design = build_lag_design(series(values), order)
+                try:
+                    fit(design)
+                except SeparationError:
+                    verdicts += 1
+                    assert _lp_separated_rows(design, memo), (values, order)
+                except SingularModelError:
+                    pass
+    assert verdicts > 1000
+
+
+def test_select_order_returns_no_aic_above_the_first_separated_order():
+    cap = 3
+    for values in itertools.product((0, 1), repeat=10):
+        w = series(values)
+        shared = build_lag_design(w, cap)
+        expected_aics = {}
+        first_separated = None
+        for order in range(1, cap + 1):
+            try:
+                expected_aics[order] = fit(LagDesign(shared.X[:, : order + 1], shared.y)).aic
+            except SeparationError:
+                first_separated = order
+                break
+            except SingularModelError:
+                pass
+        if not expected_aics:
+            with pytest.raises(OrderSelectionError):
+                select_order(w, max_order_fraction=0.3)
+            continue
+        selection = select_order(w, max_order_fraction=0.3)
+        assert selection.aics == pytest.approx(expected_aics, rel=1e-12), values
+        assert set(selection.aics) | set(selection.skipped) == {1, 2, 3}
+        if first_separated is not None:
+            for order in range(first_separated + 1, cap + 1):
+                assert selection.skipped[order].startswith(
+                    f"order {first_separated} is separated: "
+                ), values
+
+
+def test_orders_above_a_separated_order_are_not_accepted():
+    # Order 1 separates, and so does order 2's design, although a fit of
+    # order 2 alone returns beta = (-21.2, 0.0, 21.2) with converged=True.
+    w = BinarySeries("x", (0, 1, 0, 1, 0, 0, 0, 0))
+    shared = build_lag_design(w, 2)
+    assert oracles.lp_separated(shared.X, shared.y)
+    with pytest.raises(OrderSelectionError, match="no order in 1..2"):
+        select_order(w, max_order_fraction=0.3)
+
+
+def test_no_order_above_the_first_separated_order_is_fitted(monkeypatch):
+    fitted = []
+
+    def counting_fit(design, **kwargs):
+        fitted.append(design.order)
+        return fit(design, **kwargs)
+
+    monkeypatch.setattr(autologistic, "fit", counting_fit)
+    values = (1, 0, 1, 1, 1, 1, 1, 1, 0, 0, 1, 1, 1, 1, 0)
+    selection = select_order(series(values), max_order_fraction=0.3)
+    assert fitted == [1, 2]
+    assert set(selection.aics) == {1}
+    assert set(selection.aics) | set(selection.skipped) == {1, 2, 3, 4}
+    assert not selection.skipped[2].startswith("order ")
+    assert selection.skipped[3] == selection.skipped[4] == (
+        f"order 2 is separated: {selection.skipped[2]}"
+    )
+
+
+def test_a_singular_fit_skips_only_its_own_order(monkeypatch):
+    fitted = []
+
+    def singular_at_order_one(design, **kwargs):
+        fitted.append(design.order)
+        if design.order == 1:
+            raise SingularModelError("weighted least-squares system is singular")
+        return fit(design, **kwargs)
+
+    monkeypatch.setattr(autologistic, "fit", singular_at_order_one)
+    values = simulate((-0.4, 1.0), 60, random.Random(21))
+    selection = select_order(series(values))
+    assert fitted == list(range(1, max_order(60) + 1))
+    assert selection.skipped[1] == "weighted least-squares system is singular"
+    assert 1 not in selection.aics
 
 
 def test_negative_margin_is_rejected():
