@@ -9,16 +9,19 @@ the exact likelihood by iteratively reweighted least squares with step
 halving, so the objective never decreases between iterations.  The
 order-1 model is the first-order Markov chain: when all four of its
 transition counts are positive its MLE is their shares, computed in
-closed form without iterating.  Perfect
-separation is detected and either reported as an error or, when the
-ridge fallback is enabled, handled by a small quadratic penalty (the
-stored log-likelihood stays unpenalized; AIC is then approximate and
-the fit is flagged).
+closed form without iterating.  Perfect separation, where no MLE
+exists, is found before iterating when a lag's 2×2 table with the
+response has an empty cell (Albert & Anderson, 1984), and otherwise by
+the iterations' divergence checks.  It is either reported as an error
+or, when the ridge fallback is enabled, handled by a small quadratic
+penalty (the stored log-likelihood stays unpenalized; AIC is then
+approximate and the fit is flagged).
 
 Model order is chosen per package as the AIC minimizer over orders
-1 ... floor(MAX_ORDER_FRACTION * r).  The forecast experiment fits on a
-training prefix and scores one-step-ahead probabilities for the last t
-releases against a majority-vote baseline.
+1 ... floor(MAX_ORDER_FRACTION * r).  Each order's iterations start at
+the fit one order below, padded with a zero coefficient.  The forecast
+experiment fits on a training prefix and scores one-step-ahead
+probabilities for the last t releases against a majority-vote baseline.
 """
 
 from __future__ import annotations
@@ -209,21 +212,26 @@ def _irls(
     X: np.ndarray,
     y: np.ndarray,
     lam: float,
+    start: Sequence[float] | None = None,
 ) -> tuple[np.ndarray, float, bool, int]:
-    """Maximize loglik − lam·‖beta‖² by damped Newton steps.
+    """Maximize loglik − lam·‖beta‖² by damped Newton steps from ``start``.
 
     Returns (beta, objective, converged, iterations); no accepted step
-    lowers the objective.  With lam = 0 two conditions raise
+    lowers the objective.  The iterations start at zero unless ``start``
+    is given.  With lam = 0 three conditions raise
     :class:`SeparationError`: a coefficient running past the separation
     bound while the likelihood still improves (complete separation
-    inflates coefficients fast), and a converged solution whose
-    likelihood still strictly increases when a large coefficient is
-    pushed further out (quasi-complete separation stalls the step size
-    before the bound, but concavity makes the outward probe a sound
-    divergence witness).  A singular weighted system raises
-    :class:`SingularModelError`.
+    inflates coefficients fast); a converged solution whose likelihood
+    still strictly increases when a large coefficient is pushed further
+    out; and a converged solution with a linear predictor past the probe
+    bound whose likelihood still strictly increases along the flattest
+    direction of XᵀWX, the eigenvector of its smallest eigenvalue signed
+    toward beta.  Quasi-complete separation stalls the step size before
+    the bound, and its recession direction need not be an axis;
+    concavity makes each outward probe a sound divergence witness.  A
+    singular weighted system raises :class:`SingularModelError`.
     """
-    beta = np.zeros(X.shape[1])
+    beta = np.zeros(X.shape[1]) if start is None else np.array(start, dtype=float)
 
     def objective(b: np.ndarray) -> tuple[float, np.ndarray]:
         eta = X @ b
@@ -278,6 +286,19 @@ def _irls(
                     "perfect separation: the likelihood is monotone in a "
                     f"coefficient ({beta[j]:.1f} and still growing)"
                 )
+        # Gated on the linear predictor, not on beta: a recession
+        # direction spread over several lags can leave every coefficient
+        # under the bound at a point that depends on the start.
+        if np.abs(eta).max() > SEPARATION_PROBE_BOUND:
+            weights = p * (1.0 - p)
+            flattest = np.linalg.eigh((X * weights[:, None]).T @ X)[1][:, 0]
+            if flattest @ beta < 0:
+                flattest = -flattest
+            if objective(beta + SEPARATION_PROBE_STEP * flattest)[0] > current:
+                raise SeparationError(
+                    "perfect separation: the likelihood still rises along the "
+                    "flattest direction of the weighted system"
+                )
     return beta, current, converged, iterations
 
 
@@ -288,9 +309,10 @@ def _markov_mle(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool, 
     fitted probabilities are the transition shares of the first-order
     Markov chain: sigmoid(b0) = n01 / (n00 + n01) and sigmoid(b0 + b1) =
     n11 / (n10 + n11), where nab counts lag a followed by response b.
-    Returns None for any other design, and when a cell is empty: then
-    the MLE does not exist, and the design is left to ``_irls`` and its
-    separation checks.
+    Returns None for any other design, and when a cell is empty.  After
+    ``fit``'s zero-cell check an empty cell here means the lag column is
+    constant: the design is then rank-deficient, and ``_irls`` raises
+    :class:`SingularModelError` on it.
     """
     if X.shape[1] != 2 or not (X[:, 0] == 1).all():
         return None
@@ -306,21 +328,49 @@ def _markov_mle(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool, 
     return beta, value, True, 0
 
 
+def _empty_cell(X: np.ndarray, y: np.ndarray) -> int | None:
+    """The first lag whose 2×2 table with the response has an empty cell.
+
+    Only 0/1 designs are read, and only lag columns taking both values.
+    An empty cell gives a direction along which the likelihood rises
+    without bound: +e_j or −e_j when lag j = 1 is never followed by one
+    of the responses, e_0 − e_j or e_j − e_0 when lag j = 0 is not
+    (Albert & Anderson, 1984).  One matmul counts every column's cells.
+    """
+    lags = X[:, 1:]
+    if not (((lags == 0) | (lags == 1)).all() and ((y == 0) | (y == 1)).all()):
+        return None
+    n = len(y)
+    ones = lags.sum(axis=0)
+    n11 = y @ lags
+    n01 = y.sum() - n11
+    # n10 = ones - n11 and n00 = (n - ones) - n01 complete each table.
+    empty = (n11 == 0) | (n11 == ones) | (n01 == 0) | (n01 == n - ones)
+    empty &= (0 < ones) & (ones < n)
+    return int(empty.argmax()) + 1 if empty.any() else None
+
+
 def fit(
     design: LagDesign,
     *,
     ridge_fallback: bool = False,
+    _start: Sequence[float] | None = None,
 ) -> ModelFit:
     """Maximum-likelihood fit of the order-l autologistic coefficients.
 
-    An order-1 design over 0/1 values whose four transition counts are
-    all positive is fit in closed form (``iterations=0``); every other
-    design is fit by damped Newton iterations.
-    Constant responses and perfect separation raise
-    :class:`SeparationError`, and a singular weighted system raises
-    :class:`SingularModelError`, unless ``ridge_fallback`` is set: then
-    the fit is retried with a small quadratic penalty and flagged as
-    ``ridge`` (and as ``separation_detected`` after a separation).
+    Constant responses raise :class:`SeparationError`, and so does a
+    0/1 lag column that takes both values and leaves an empty cell in
+    its 2×2 table with the response, before any iteration.  An order-1
+    design over 0/1 values whose four transition counts are all positive
+    is then fit in closed form (``iterations=0``); every other design is
+    fit by damped Newton iterations, whose separation checks raise
+    :class:`SeparationError` too.  A singular weighted system raises
+    :class:`SingularModelError`.  With ``ridge_fallback`` set, either
+    error instead retries the fit from zero with a small quadratic
+    penalty, flagged as ``ridge`` (and as ``separation_detected`` after
+    a separation).  ``_start``, private to this module, is where the
+    unpenalized iterations begin; ``select_order`` passes the order
+    below's coefficients.
     """
     parameters = design.order + 1
     if design.n < parameters:
@@ -332,7 +382,13 @@ def fit(
     try:
         if np.all(y == y[0]):
             raise SeparationError("responses are constant; likelihood is unbounded")
-        beta, value, converged, iterations = _markov_mle(X, y) or _irls(X, y, 0.0)
+        lag = _empty_cell(X, y)
+        if lag is not None:
+            raise SeparationError(
+                f"perfect separation: lag {lag} leaves an empty cell "
+                "in its table with the response"
+            )
+        beta, value, converged, iterations = _markov_mle(X, y) or _irls(X, y, 0.0, _start)
     except (SeparationError, SingularModelError) as exc:
         if not ridge_fallback:
             raise
@@ -385,6 +441,13 @@ def select_order(
     ``order <l> is separated: <message>``.  A singular or too-short fit
     skips only its own order.  No candidate fitting at all, or a cap
     that leaves no response to fit, is a selection error.
+
+    Order l + 1's Newton iterations start at (beta_l, 0), order l's
+    coefficients and a zero for the new lag, as pathwise solvers do
+    (Friedman, Hastie & Tibshirani, 2010).  An order after a skipped
+    order starts at zero, and so does every order above the first ridge
+    fit.  With full rank and no separation the likelihood has one
+    maximizer, so the start changes the iterations, not the result.
     """
     if not parsimony_margin >= 0:
         raise ValueError("parsimony_margin must be non-negative")
@@ -404,10 +467,11 @@ def select_order(
     # fewer responses and shift their log-likelihoods mechanically,
     # swamping the AIC penalty.  Order l is the first l + 1 columns.
     shared = build_lag_design(w, cap)
+    start, warm = None, True
     for order in range(1, cap + 1):
         design = LagDesign(np.ascontiguousarray(shared.X[:, : order + 1]), shared.y)
         try:
-            aics[order] = fit(design, ridge_fallback=ridge_fallback).aic
+            model = fit(design, ridge_fallback=ridge_fallback, _start=start)
         except SeparationError as exc:
             # A direction b separating order l gives (b, 0) separating
             # every larger order on the same responses: none has an MLE.
@@ -417,6 +481,12 @@ def select_order(
             break
         except (SingularModelError, InsufficientDataError) as exc:
             skipped[order] = str(exc)
+            start = None
+            continue
+        aics[order] = model.aic
+        # Above a ridge fit every order is separated or singular too.
+        warm = warm and not model.ridge
+        start = (*model.beta, 0.0) if warm else None
     if not aics:
         raise OrderSelectionError(
             f"{w.package!r}: no order in 1..{cap} produced a usable fit"

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -243,6 +244,52 @@ def test_constant_responses_separate():
         fit(build_lag_design(series([1, 1, 1, 1, 1, 1]), 1))
 
 
+def test_an_empty_cell_separates_before_either_fitting_path(monkeypatch):
+    # 0110 at order 1: lag 0 is never followed by 0, so e_0 - e_1
+    # separates.  The coordinate probe alone returned (19.2, -19.2).
+    def unreachable(*args):
+        raise AssertionError("the design reached a fitting path")
+
+    monkeypatch.setattr(autologistic, "_markov_mle", unreachable)
+    monkeypatch.setattr(autologistic, "_irls", unreachable)
+    with pytest.raises(SeparationError) as caught:
+        fit(build_lag_design(series([0, 1, 1, 0]), 1))
+    assert str(caught.value) == (
+        "perfect separation: lag 1 leaves an empty cell in its table with the response"
+    )
+
+
+def test_a_constant_lag_column_is_still_singular():
+    # The lag column is all zeros: it has no 2x2 table, the closed form
+    # declines the empty cells, and the Newton system is singular.
+    design = build_lag_design(series([0, 0, 0, 0, 1]), 1)
+    with pytest.raises(SingularModelError) as caught:
+        fit(design)
+    assert str(caught.value) == "weighted least-squares system is singular"
+
+
+def test_the_flattest_direction_finds_separation_off_the_axes():
+    # Every 2x2 table is full, and the recession direction is e_1 - e_2:
+    # without the probe the fit returned (0.0, 19.2, -19.2).
+    design = build_lag_design(series([0, 0, 0, 1, 1, 1, 0]), 2)
+    assert oracles.lp_separated(design.X, design.y)
+    with pytest.raises(SeparationError, match="flattest direction"):
+        fit(design)
+
+
+def test_the_flattest_direction_probe_does_not_depend_on_the_start():
+    # Started at zero, this separated order-4 design converges with every
+    # |beta_j| under SEPARATION_PROBE_BOUND; started at the order-3 fit,
+    # with a coefficient past it.  The probe's gate reads the linear
+    # predictor, so both starts find the separation.
+    shared = build_lag_design(series([1, 0, 1, 0, 0, 0, 1, 1, 0, 1, 0, 0, 0, 0]), 4)
+    assert oracles.lp_separated(shared.X, shared.y)
+    lower = fit(LagDesign(shared.X[:, :4], shared.y))
+    for start in (None, (*lower.beta, 0.0)):
+        with pytest.raises(SeparationError, match="flattest direction"):
+            fit(shared, _start=start)
+
+
 @pytest.mark.parametrize("values", [[0, 1] * 6, [0, 0, 0, 0, 1, 1, 1, 1]])
 def test_ridge_fallback_tames_separation(values):
     model = fit(build_lag_design(series(values), 1), ridge_fallback=True)
@@ -337,12 +384,44 @@ def _lp_separated_rows(design, memo):
     return memo[key]
 
 
+def test_order_one_separation_verdicts_are_exactly_the_lps():
+    # At order 1 the zero-cell check is Albert & Anderson's rule itself:
+    # on every 0/1 series of length 3-12 that is not singular, fit
+    # raises SeparationError exactly when the LP finds separation.
+    memo = {}
+    outcomes = Counter()
+    for length in range(3, 13):
+        for values in itertools.product((0, 1), repeat=length):
+            design = build_lag_design(series(values), 1)
+            try:
+                fit(design)
+                separated = False
+            except SeparationError:
+                separated = True
+            except SingularModelError:
+                continue
+            assert separated == _lp_separated_rows(design, memo), values
+            outcomes[separated] += 1
+    assert outcomes[True] > 1000 and outcomes[False] > 1000
+
+
+_VERDICT_KINDS = {
+    "responses are constant": "constant",
+    "leaves an empty cell": "zero-cell",
+    "flattest direction": "flattest",
+    "while the likelihood still improves": "bound",
+    "monotone in a coefficient": "coordinate",
+}
+
+
 def test_every_separation_verdict_is_lp_separated():
     # Pruning the orders above a separated one is exact only if
     # SeparationError is never a false positive; check every 0/1 series
-    # of length up to 10 at orders 1-3 against the LP.
+    # of length up to 10 at orders 1-3 against the LP, and count the
+    # separated designs that are fitted all the same.
     memo = {}
-    verdicts = 0
+    verdicts = Counter()
+    misses = Counter()
     for length in range(3, 11):
         for values in itertools.product((0, 1), repeat=length):
             for order in range(1, 4):
@@ -351,12 +430,20 @@ def test_every_separation_verdict_is_lp_separated():
                 design = build_lag_design(series(values), order)
                 try:
                     fit(design)
-                except SeparationError:
-                    verdicts += 1
+                except SeparationError as exc:
+                    [kind] = [k for text, k in _VERDICT_KINDS.items() if text in str(exc)]
+                    verdicts[order, kind] += 1
                     assert _lp_separated_rows(design, memo), (values, order)
                 except SingularModelError:
                     pass
-    assert verdicts > 1000
+                else:
+                    misses[order] += _lp_separated_rows(design, memo)
+    for order in (2, 3):
+        assert verdicts[order, "zero-cell"] > 100 and verdicts[order, "flattest"] > 100
+    # The remaining misses are order-3 designs whose recession cone is
+    # two-dimensional: XᵀWX has two near-zero eigenvalues, and its
+    # flattest eigenvector alone is no direction of increase.
+    assert dict(misses) == {1: 0, 2: 0, 3: 20}
 
 
 def test_select_order_returns_no_aic_above_the_first_separated_order():
@@ -417,11 +504,65 @@ def test_no_order_above_the_first_separated_order_is_fitted(monkeypatch):
     )
 
 
+def _selection_outcome(w, **options):
+    try:
+        selection = select_order(w, **options)
+    except OrderSelectionError as exc:
+        return str(exc)
+    aics = {order: round(aic, 6) for order, aic in selection.aics.items()}
+    return selection.order, aics, dict(selection.skipped)
+
+
+@pytest.mark.parametrize("ridge_fallback", [False, True])
+def test_warm_starts_select_what_cold_starts_select(monkeypatch, ridge_fallback):
+    # Every 0/1 series of length 8-14 at caps 2-4, and simulated order-1
+    # to order-3 series of length 200: the order, the AICs to six
+    # decimals and the skip reasons must not depend on where the Newton
+    # iterations start.
+    cases = [
+        (series(values), {"max_order_fraction": 0.3})
+        for length in range(8, 15)
+        for values in itertools.product((0, 1), repeat=length)
+    ]
+    rng = random.Random(20261019)
+    for beta in ((-0.5, 1.5), (-0.8, 1.2, 0.4), (-0.5, 0.8, -0.6, 1.0)):
+        cases += [(series(simulate(beta, 200, rng)), {}) for _ in range(10)]
+    for _, options in cases:
+        options["ridge_fallback"] = ridge_fallback
+    warm = [_selection_outcome(w, **options) for w, options in cases]
+    cold_irls = autologistic._irls
+    monkeypatch.setattr(
+        autologistic, "_irls", lambda X, y, lam, start=None: cold_irls(X, y, lam)
+    )
+    cold = [_selection_outcome(w, **options) for w, options in cases]
+    for (w, options), a, b in zip(cases, warm, cold):
+        assert a == b, (w.values, options)
+
+
+def test_orders_start_at_the_fit_below_until_the_first_ridge_fit(monkeypatch):
+    calls = []
+
+    def recording_fit(design, **kwargs):
+        calls.append((design.order, kwargs.get("_start")))
+        return fit(design, **kwargs)
+
+    monkeypatch.setattr(autologistic, "fit", recording_fit)
+    # Order 1 fits; order 2 is separated, so it and every larger order
+    # are ridge fits, which must start at zero.
+    w = series((1, 0, 1, 1, 1, 1, 1, 1, 0, 0, 1, 1, 1, 1, 0))
+    select_order(w, max_order_fraction=0.3, ridge_fallback=True)
+    shared = build_lag_design(w, 4)
+    first = fit(LagDesign(shared.X[:, :2], shared.y))
+    assert calls == [(1, None), (2, (*first.beta, 0.0)), (3, None), (4, None)]
+    second = fit(LagDesign(shared.X[:, :3], shared.y), ridge_fallback=True)
+    assert second.ridge and second.separation_detected
+
+
 def test_a_singular_fit_skips_only_its_own_order(monkeypatch):
     fitted = []
 
     def singular_at_order_one(design, **kwargs):
-        fitted.append(design.order)
+        fitted.append((design.order, kwargs.get("_start")))
         if design.order == 1:
             raise SingularModelError("weighted least-squares system is singular")
         return fit(design, **kwargs)
@@ -429,9 +570,12 @@ def test_a_singular_fit_skips_only_its_own_order(monkeypatch):
     monkeypatch.setattr(autologistic, "fit", singular_at_order_one)
     values = simulate((-0.4, 1.0), 60, random.Random(21))
     selection = select_order(series(values))
-    assert fitted == list(range(1, max_order(60) + 1))
+    assert [order for order, _ in fitted] == list(range(1, max_order(60) + 1))
     assert selection.skipped[1] == "weighted least-squares system is singular"
     assert 1 not in selection.aics
+    # The order after a skipped one starts at zero, the next at its fit.
+    assert fitted[1] == (2, None)
+    assert all(len(start) == order + 1 for order, start in fitted[2:])
 
 
 def test_negative_margin_is_rejected():
