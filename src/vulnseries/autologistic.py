@@ -10,18 +10,19 @@ halving, so the objective never decreases between iterations.  The
 order-1 model is the first-order Markov chain: when all four of its
 transition counts are positive its MLE is their shares, computed in
 closed form without iterating.  Perfect separation, where no MLE
-exists, is found before iterating when a lag's 2×2 table with the
-response has an empty cell (Albert & Anderson, 1984), and otherwise by
-the iterations' divergence checks.  It is either reported as an error
-or, when the ridge fallback is enabled, handled by a small quadratic
-penalty (the stored log-likelihood stays unpenalized; AIC is then
-approximate and the fit is flagged).
+exists, is found before iterating when the responses are constant or a
+lag's 2×2 table with the response has an empty cell (Albert & Anderson,
+1984), and otherwise by the iterations' divergence checks.  It is either
+reported as an error or, when the ridge fallback is enabled, handled by
+a small quadratic penalty (the stored log-likelihood stays unpenalized;
+AIC is then approximate and the fit is flagged).
 
 Model order is chosen per package as the AIC minimizer over orders
-1 ... floor(MAX_ORDER_FRACTION * r).  Each order's iterations start at
-the fit one order below, padded with a zero coefficient.  The forecast
-experiment fits on a training prefix and scores one-step-ahead
-probabilities for the last t releases against a majority-vote baseline.
+1 ... floor(MAX_ORDER_FRACTION * r), which share one zero-cell check.
+Each order's iterations start at the fit one order below, padded with a
+zero coefficient.  The forecast experiment fits on a training prefix
+and scores one-step-ahead probabilities for the last t releases against
+a majority-vote baseline.
 """
 
 from __future__ import annotations
@@ -184,7 +185,8 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     # exponential overflows; e = exp(-|eta|) is the exponential of both.
     e = np.exp(-np.abs(eta))
     d = 1.0 + e
-    return np.where(eta >= 0, 1.0 / d, e / d)
+    p = np.divide(e, d)
+    return np.divide(1.0, d, out=p, where=eta >= 0)
 
 
 def _loglik(y: np.ndarray, eta: np.ndarray) -> float:
@@ -218,28 +220,29 @@ def _irls(
 
     Returns (beta, objective, converged, iterations); no accepted step
     lowers the objective.  The iterations start at zero unless ``start``
-    is given.  With lam = 0 three conditions raise
-    :class:`SeparationError`: a coefficient running past the separation
-    bound while the likelihood still improves (complete separation
-    inflates coefficients fast); a converged solution whose likelihood
-    still strictly increases when a large coefficient is pushed further
-    out; and a converged solution with a linear predictor past the probe
-    bound whose likelihood still strictly increases along the flattest
+    is given.  With lam = 0 two conditions raise :class:`SeparationError`:
+    a coefficient running past the separation bound while the likelihood
+    still improves (complete separation inflates coefficients fast); and
+    a converged solution with a linear predictor past the probe bound
+    whose likelihood still strictly increases along the flattest
     direction of XᵀWX, the eigenvector of its smallest eigenvalue signed
     toward beta.  Quasi-complete separation stalls the step size before
-    the bound, and its recession direction need not be an axis;
-    concavity makes each outward probe a sound divergence witness.  A
-    singular weighted system raises :class:`SingularModelError`.
+    the bound; concavity makes the outward probe a sound divergence
+    witness.  A recession direction along an axis is an empty cell,
+    which ``fit`` reports before iterating.  A singular weighted system
+    raises :class:`SingularModelError`.
     """
     beta = np.zeros(X.shape[1]) if start is None else np.array(start, dtype=float)
 
     def objective(b: np.ndarray) -> tuple[float, np.ndarray]:
         eta = X @ b
-        return _loglik(y, eta) - lam * float(b @ b), eta
+        value = _loglik(y, eta)
+        return (value - lam * float(b @ b) if lam else value), eta
 
     def slope(b: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p = _sigmoid(eta)
-        return p, _gradient(X, y, p) - 2.0 * lam * b
+        gradient = _gradient(X, y, p)
+        return p, (gradient - 2.0 * lam * b if lam else gradient)
 
     current, eta = objective(beta)
     p, gradient = slope(beta, eta)
@@ -275,30 +278,19 @@ def _irls(
         if improvement < LOGLIK_TOL and np.abs(gradient).max() < GRADIENT_TOL:
             converged = True
             break
-    if lam == 0.0 and converged:
-        for j in range(beta.size):
-            if abs(beta[j]) <= SEPARATION_PROBE_BOUND:
-                continue
-            probe = beta.copy()
-            probe[j] += math.copysign(SEPARATION_PROBE_STEP, beta[j])
-            if objective(probe)[0] > current:
-                raise SeparationError(
-                    "perfect separation: the likelihood is monotone in a "
-                    f"coefficient ({beta[j]:.1f} and still growing)"
-                )
-        # Gated on the linear predictor, not on beta: a recession
-        # direction spread over several lags can leave every coefficient
-        # under the bound at a point that depends on the start.
-        if np.abs(eta).max() > SEPARATION_PROBE_BOUND:
-            weights = p * (1.0 - p)
-            flattest = np.linalg.eigh((X * weights[:, None]).T @ X)[1][:, 0]
-            if flattest @ beta < 0:
-                flattest = -flattest
-            if objective(beta + SEPARATION_PROBE_STEP * flattest)[0] > current:
-                raise SeparationError(
-                    "perfect separation: the likelihood still rises along the "
-                    "flattest direction of the weighted system"
-                )
+    # Gated on the linear predictor, not on beta: a recession direction
+    # spread over several lags can leave every coefficient under the
+    # bound at a point that depends on the start.
+    if lam == 0.0 and converged and np.abs(eta).max() > SEPARATION_PROBE_BOUND:
+        weights = p * (1.0 - p)
+        flattest = np.linalg.eigh((X * weights[:, None]).T @ X)[1][:, 0]
+        if flattest @ beta < 0:
+            flattest = -flattest
+        if objective(beta + SEPARATION_PROBE_STEP * flattest)[0] > current:
+            raise SeparationError(
+                "perfect separation: the likelihood still rises along the "
+                "flattest direction of the weighted system"
+            )
     return beta, current, converged, iterations
 
 
@@ -328,26 +320,30 @@ def _markov_mle(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool, 
     return beta, value, True, 0
 
 
-def _empty_cell(X: np.ndarray, y: np.ndarray) -> int | None:
-    """The first lag whose 2×2 table with the response has an empty cell.
+def _empty_cell(X: np.ndarray, y: np.ndarray) -> int:
+    """The first column whose table with the response has an empty cell.
 
-    Only 0/1 designs are read, and only lag columns taking both values.
-    An empty cell gives a direction along which the likelihood rises
-    without bound: +e_j or −e_j when lag j = 1 is never followed by one
-    of the responses, e_0 − e_j or e_j − e_0 when lag j = 0 is not
-    (Albert & Anderson, 1984).  One matmul counts every column's cells.
+    Column 0, the constant, has one when the responses are constant.  A
+    lag column is read, on its own, when it and the responses are 0/1 and
+    it takes both values.  An empty cell gives a direction along which
+    the likelihood rises without bound: +e_j or −e_j when lag j = 1 is
+    never followed by one of the responses, e_0 − e_j or e_j − e_0 when
+    lag j = 0 is not (Albert & Anderson, 1984).  Without one it returns
+    the number of columns; a slice of leading columns agrees on those.
     """
+    if np.all(y == y[0]):
+        return 0
+    if not ((y == 0) | (y == 1)).all():
+        return X.shape[1]
     lags = X[:, 1:]
-    if not (((lags == 0) | (lags == 1)).all() and ((y == 0) | (y == 1)).all()):
-        return None
     n = len(y)
     ones = lags.sum(axis=0)
     n11 = y @ lags
     n01 = y.sum() - n11
     # n10 = ones - n11 and n00 = (n - ones) - n01 complete each table.
     empty = (n11 == 0) | (n11 == ones) | (n01 == 0) | (n01 == n - ones)
-    empty &= (0 < ones) & (ones < n)
-    return int(empty.argmax()) + 1 if empty.any() else None
+    empty &= ((lags == 0) | (lags == 1)).all(axis=0) & (0 < ones) & (ones < n)
+    return int(empty.argmax()) + 1 if empty.any() else X.shape[1]
 
 
 def fit(
@@ -355,6 +351,7 @@ def fit(
     *,
     ridge_fallback: bool = False,
     _start: Sequence[float] | None = None,
+    _empty: int | None = None,
 ) -> ModelFit:
     """Maximum-likelihood fit of the order-l autologistic coefficients.
 
@@ -368,9 +365,10 @@ def fit(
     :class:`SingularModelError`.  With ``ridge_fallback`` set, either
     error instead retries the fit from zero with a small quadratic
     penalty, flagged as ``ridge`` (and as ``separation_detected`` after
-    a separation).  ``_start``, private to this module, is where the
-    unpenalized iterations begin; ``select_order`` passes the order
-    below's coefficients.
+    a separation).  Private to this module, ``_start`` is where the
+    unpenalized iterations begin, and ``_empty`` the ``_empty_cell`` of
+    a design whose leading columns and responses are this one's;
+    ``select_order`` passes the order below's fit and its cap design's.
     """
     parameters = design.order + 1
     if design.n < parameters:
@@ -378,14 +376,14 @@ def fit(
             f"{design.n} responses cannot identify {parameters} coefficients"
         )
     X, y = design.X, design.y
+    empty = _empty_cell(X, y) if _empty is None else _empty
     separation = ridge = False
     try:
-        if np.all(y == y[0]):
+        if empty == 0:
             raise SeparationError("responses are constant; likelihood is unbounded")
-        lag = _empty_cell(X, y)
-        if lag is not None:
+        if empty <= design.order:
             raise SeparationError(
-                f"perfect separation: lag {lag} leaves an empty cell "
+                f"perfect separation: lag {empty} leaves an empty cell "
                 "in its table with the response"
             )
         beta, value, converged, iterations = _markov_mle(X, y) or _irls(X, y, 0.0, _start)
@@ -465,13 +463,15 @@ def select_order(
     # values, keeps their likelihoods over the same responses, so AICs
     # compare like with like.  Per-order windows would hand longer lags
     # fewer responses and shift their log-likelihoods mechanically,
-    # swamping the AIC penalty.  Order l is the first l + 1 columns.
+    # swamping the AIC penalty.  Order l is the first l + 1 columns, and
+    # the cap design's zero-cell check answers for every order.
     shared = build_lag_design(w, cap)
+    empty = _empty_cell(shared.X, shared.y)
     start, warm = None, True
     for order in range(1, cap + 1):
         design = LagDesign(np.ascontiguousarray(shared.X[:, : order + 1]), shared.y)
         try:
-            model = fit(design, ridge_fallback=ridge_fallback, _start=start)
+            model = fit(design, ridge_fallback=ridge_fallback, _start=start, _empty=empty)
         except SeparationError as exc:
             # A direction b separating order l gives (b, 0) separating
             # every larger order on the same responses: none has an MLE.

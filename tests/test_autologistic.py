@@ -212,6 +212,19 @@ def test_sigmoid_is_bit_identical_to_the_masked_pair():
     assert np.array_equal(_sigmoid(eta), masked_pair(eta), equal_nan=True)
 
 
+def test_sigmoid_is_bit_identical_to_the_two_branch_formula():
+    # _sigmoid divides only where each branch is used; its bits must be
+    # those of evaluating both quotients and choosing with np.where.
+    edges = [0.0, 1e-300, 1.0, 36.0, 709.0, 709.8, 745.0, 745.2, math.inf]
+    draws = np.random.default_rng(47).normal(0.0, 50.0, 10_000)
+    eta = np.concatenate([edges, [-x for x in edges], [math.nan], draws])
+    e = np.exp(-np.abs(eta))
+    d = 1.0 + e
+    assert _sigmoid(eta).tobytes() == np.where(eta >= 0, 1.0 / d, e / d).tobytes()
+    # accuracy's ties at p = 1/2 rest on the value at eta = ±0.
+    assert _sigmoid(np.array([0.0, -0.0])).tolist() == [0.5, 0.5]
+
+
 def test_complement_symmetry_of_the_mle():
     rng = random.Random(37)
     values = simulate((-0.5, 1.5), 140, rng)
@@ -246,7 +259,7 @@ def test_constant_responses_separate():
 
 def test_an_empty_cell_separates_before_either_fitting_path(monkeypatch):
     # 0110 at order 1: lag 0 is never followed by 0, so e_0 - e_1
-    # separates.  The coordinate probe alone returned (19.2, -19.2).
+    # separates.  Without this check the fit returned (19.2, -19.2).
     def unreachable(*args):
         raise AssertionError("the design reached a fitting path")
 
@@ -410,7 +423,6 @@ _VERDICT_KINDS = {
     "leaves an empty cell": "zero-cell",
     "flattest direction": "flattest",
     "while the likelihood still improves": "bound",
-    "monotone in a coefficient": "coordinate",
 }
 
 
@@ -509,16 +521,29 @@ def _selection_outcome(w, **options):
         selection = select_order(w, **options)
     except OrderSelectionError as exc:
         return str(exc)
-    aics = {order: round(aic, 6) for order, aic in selection.aics.items()}
-    return selection.order, aics, dict(selection.skipped)
+    return selection.order, dict(selection.aics), dict(selection.skipped)
 
 
-@pytest.mark.parametrize("ridge_fallback", [False, True])
-def test_warm_starts_select_what_cold_starts_select(monkeypatch, ridge_fallback):
-    # Every 0/1 series of length 8-14 at caps 2-4, and simulated order-1
-    # to order-3 series of length 200: the order, the AICs to six
-    # decimals and the skip reasons must not depend on where the Newton
-    # iterations start.
+def _rounded(outcome):
+    if isinstance(outcome, str):
+        return outcome
+    order, aics, skipped = outcome
+    return order, {o: round(aic, 6) for o, aic in aics.items()}, skipped
+
+
+@pytest.fixture(scope="module", params=[False, True])
+def selections(request):
+    """Every 0/1 series of length 8-14 at cap 0.3, and simulated order-1
+    to order-3 series of length 200, selected with ``ridge_fallback`` as
+    the parameter.
+
+    Returns the cases, their outcomes, the indices of the cases in which
+    some ``_irls`` call received a start, and ``replay``, a stand-in for
+    ``_irls`` that answers a ridge fit it has seen, by its exact design,
+    with the recorded result.  ``_irls`` is deterministic, so replaying
+    it changes no outcome; it spares the later passes the ridge fits,
+    which start at zero and are the same work in every pass.
+    """
     cases = [
         (series(values), {"max_order_fraction": 0.3})
         for length in range(8, 15)
@@ -528,15 +553,71 @@ def test_warm_starts_select_what_cold_starts_select(monkeypatch, ridge_fallback)
     for beta in ((-0.5, 1.5), (-0.8, 1.2, 0.4), (-0.5, 0.8, -0.6, 1.0)):
         cases += [(series(simulate(beta, 200, rng)), {}) for _ in range(10)]
     for _, options in cases:
-        options["ridge_fallback"] = ridge_fallback
-    warm = [_selection_outcome(w, **options) for w, options in cases]
-    cold_irls = autologistic._irls
+        options["ridge_fallback"] = request.param
+    irls = autologistic._irls
+    ridge_fits = {}
+    started = set()
+
+    def replay(X, y, lam, start=None):
+        started.add(start is not None)
+        if not lam:
+            return irls(X, y, lam, start)
+        # Ridge fits always start at zero.
+        key = (X.shape, X.tobytes(), y.tobytes(), lam)
+        if key not in ridge_fits:
+            ridge_fits[key] = irls(X, y, lam)
+        return ridge_fits[key]
+
+    outcomes, warm = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(autologistic, "_irls", replay)
+        for i, (w, options) in enumerate(cases):
+            started.clear()
+            outcomes.append(_selection_outcome(w, **options))
+            if True in started:
+                warm.append(i)
+    return cases, outcomes, warm, replay
+
+
+def test_warm_starts_select_what_cold_starts_select(monkeypatch, selections):
+    # The order, the AICs to six decimals and the skip reasons must not
+    # depend on where the Newton iterations start.  A case in which no
+    # fit received a start makes the same calls cold, so only the others
+    # are run again.
+    cases, outcomes, warm, replay = selections
     monkeypatch.setattr(
-        autologistic, "_irls", lambda X, y, lam, start=None: cold_irls(X, y, lam)
+        autologistic, "_irls", lambda X, y, lam, start=None: replay(X, y, lam)
     )
-    cold = [_selection_outcome(w, **options) for w, options in cases]
-    for (w, options), a, b in zip(cases, warm, cold):
-        assert a == b, (w.values, options)
+    assert len(warm) > len(cases) // 2
+    for i in warm:
+        w, options = cases[i]
+        assert _rounded(_selection_outcome(w, **options)) == _rounded(outcomes[i]), (
+            w.values,
+            options,
+        )
+
+
+def test_the_per_package_zero_cell_check_changes_no_selection(monkeypatch, selections):
+    # select_order runs the constant-response and zero-cell checks once,
+    # on its cap design; with fit running its own checks on every order,
+    # every case must select exactly the same: order, AICs as exact
+    # floats, and skip reasons.  A value other than 0 and 1 at the start
+    # of a series reaches the cap design's last lag column only.
+    cases, outcomes, _, replay = selections
+    odd = [series((2, *values)) for values in itertools.product((0, 1), repeat=11)]
+    odd_options = cases[0][1]
+    odd_outcomes = [_selection_outcome(w, **odd_options) for w in odd]
+    own_checks = autologistic.fit
+    monkeypatch.setattr(autologistic, "_irls", replay)
+    monkeypatch.setattr(
+        autologistic,
+        "fit",
+        lambda design, *, _empty=None, **kwargs: own_checks(design, **kwargs),
+    )
+    for (w, options), outcome in zip(cases, outcomes):
+        assert _selection_outcome(w, **options) == outcome, (w.values, options)
+    for w, outcome in zip(odd, odd_outcomes):
+        assert _selection_outcome(w, **odd_options) == outcome, w.values
 
 
 def test_orders_start_at_the_fit_below_until_the_first_ridge_fit(monkeypatch):
