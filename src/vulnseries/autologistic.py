@@ -10,15 +10,17 @@ halving, so the objective never decreases between iterations.  The
 order-1 model is the first-order Markov chain: when all four of its
 transition counts are positive its MLE is their shares, computed in
 closed form without iterating.  Perfect separation, where no MLE
-exists, is found before iterating when the responses are constant or a
-lag's 2×2 table with the response has an empty cell (Albert & Anderson,
+exists, is found before iterating when the responses are constant, when
+a lag's 2×2 table with the response has an empty cell, or when lags 1
+and 2 split the responses in their joint table (Albert & Anderson,
 1984), and otherwise by the iterations' divergence checks.  It is either
 reported as an error or, when the ridge fallback is enabled, handled by
 a small quadratic penalty (the stored log-likelihood stays unpenalized;
 AIC is then approximate and the fit is flagged).
 
 Model order is chosen per package as the AIC minimizer over orders
-1 ... floor(MAX_ORDER_FRACTION * r), which share one zero-cell check.
+1 ... floor(MAX_ORDER_FRACTION * r), which share one set of those
+table checks.
 Each order's iterations start at the fit one order below, padded with a
 zero coefficient.  The forecast experiment fits on a training prefix
 and scores one-step-ahead probabilities for the last t releases against
@@ -34,7 +36,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     AttritionRecord,
@@ -62,6 +63,8 @@ MIN_RELEASES = 25
 MIN_STD = 0.25
 MAX_ORDER_FRACTION = 0.1
 TIE_VALUE = 1
+_CONSTANT = "responses are constant; likelihood is unbounded"
+_EMPTY_CELL = "perfect separation: lag {} leaves an empty cell in its table with the response"
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +179,8 @@ def build_lag_design(w: BinarySeries, order: int) -> LagDesign:
         )
     values = np.asarray(w.values, dtype=float)
     X = np.ones((r - order, order + 1))
-    X[:, 1:] = sliding_window_view(values[:-1], order)[:, ::-1]
+    for lag in range(1, order + 1):
+        X[:, lag] = values[order - lag : r - lag]
     return LagDesign(X, values[order:])
 
 
@@ -191,7 +195,7 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
 
 def _loglik(y: np.ndarray, eta: np.ndarray) -> float:
     """Bernoulli log-likelihood of the responses at the linear form ``eta``."""
-    return float(y @ eta - np.logaddexp(0.0, eta).sum())
+    return float(y @ eta - np.add.reduce(np.logaddexp(0.0, eta)))
 
 
 def _gradient(X: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -233,19 +237,10 @@ def _irls(
     raises :class:`SingularModelError`.
     """
     beta = np.zeros(X.shape[1]) if start is None else np.array(start, dtype=float)
-
-    def objective(b: np.ndarray) -> tuple[float, np.ndarray]:
-        eta = X @ b
-        value = _loglik(y, eta)
-        return (value - lam * float(b @ b) if lam else value), eta
-
-    def slope(b: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p = _sigmoid(eta)
-        gradient = _gradient(X, y, p)
-        return p, (gradient - 2.0 * lam * b if lam else gradient)
-
-    current, eta = objective(beta)
-    p, gradient = slope(beta, eta)
+    eta = X @ beta
+    current = _loglik(y, eta) - lam * float(beta @ beta) if lam else _loglik(y, eta)
+    p = _sigmoid(eta)
+    gradient = _gradient(X, y, p) - 2.0 * lam * beta if lam else _gradient(X, y, p)
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
@@ -257,36 +252,38 @@ def _irls(
             step = np.linalg.solve(hessian, gradient)
         except np.linalg.LinAlgError:
             raise SingularModelError("weighted least-squares system is singular") from None
-        candidate = beta + step
-        value, eta = objective(candidate)
-        halvings = 0
-        while value < current and halvings < 30:
-            step /= 2.0
+        # Halve the step up to 30 times until the objective does not fall.
+        for _ in range(31):
             candidate = beta + step
-            value, eta = objective(candidate)
-            halvings += 1
+            eta = X @ candidate
+            value = _loglik(y, eta) - lam * float(candidate @ candidate) if lam else _loglik(y, eta)
+            if not value < current:
+                break
+            step /= 2.0
         if value < current:
             break
-        if lam == 0.0 and value > current and np.abs(candidate).max() > SEPARATION_BOUND:
+        largest = np.maximum.reduce(np.abs(candidate))
+        if lam == 0.0 and value > current and largest > SEPARATION_BOUND:
             raise SeparationError(
                 "perfect separation: a coefficient exceeds "
                 f"{SEPARATION_BOUND} while the likelihood still improves"
             )
         improvement = value - current
         beta, current = candidate, value
-        p, gradient = slope(beta, eta)
-        if improvement < LOGLIK_TOL and np.abs(gradient).max() < GRADIENT_TOL:
+        p = _sigmoid(eta)
+        gradient = _gradient(X, y, p) - 2.0 * lam * beta if lam else _gradient(X, y, p)
+        if improvement < LOGLIK_TOL and np.maximum.reduce(np.abs(gradient)) < GRADIENT_TOL:
             converged = True
             break
     # Gated on the linear predictor, not on beta: a recession direction
     # spread over several lags can leave every coefficient under the
     # bound at a point that depends on the start.
-    if lam == 0.0 and converged and np.abs(eta).max() > SEPARATION_PROBE_BOUND:
+    if lam == 0.0 and converged and np.maximum.reduce(np.abs(eta)) > SEPARATION_PROBE_BOUND:
         weights = p * (1.0 - p)
         flattest = np.linalg.eigh((X * weights[:, None]).T @ X)[1][:, 0]
         if flattest @ beta < 0:
             flattest = -flattest
-        if objective(beta + SEPARATION_PROBE_STEP * flattest)[0] > current:
+        if _loglik(y, X @ (beta + SEPARATION_PROBE_STEP * flattest)) > current:
             raise SeparationError(
                 "perfect separation: the likelihood still rises along the "
                 "flattest direction of the weighted system"
@@ -294,47 +291,63 @@ def _irls(
     return beta, current, converged, iterations
 
 
-def _markov_mle(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool, int] | None:
-    """The order-1 MLE in closed form, as ``_irls`` would report it.
+def _binary(values: np.ndarray) -> bool:
+    return bool(((values == 0) | (values == 1)).all())
 
-    An order-1 design over 0/1 values has two distinct rows, so the
-    fitted probabilities are the transition shares of the first-order
-    Markov chain: sigmoid(b0) = n01 / (n00 + n01) and sigmoid(b0 + b1) =
-    n11 / (n10 + n11), where nab counts lag a followed by response b.
-    Returns None for any other design, and when a cell is empty.  After
-    ``fit``'s zero-cell check an empty cell here means the lag column is
-    constant: the design is then rank-deficient, and ``_irls`` raises
+
+def _markov_mle(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool, int] | None:
+    """Decide and fit an order-1 0/1 design from its one 2×2 table.
+
+    The table gives ``_separation``'s verdicts, raised as
+    :class:`SeparationError`: constant responses, or an empty cell under a
+    lag that takes both values.  With all four transition counts
+    positive the fitted probabilities are the transition shares of the
+    first-order Markov chain: sigmoid(b0) = n01 / (n00 + n01) and
+    sigmoid(b0 + b1) = n11 / (n10 + n11), where nab counts lag a followed
+    by response b; the MLE is returned as ``_irls`` would report it.
+    Returns None for any other design, and for a constant lag column: the
+    design is then rank-deficient, and ``_irls`` raises
     :class:`SingularModelError` on it.
     """
     if X.shape[1] != 2 or not (X[:, 0] == 1).all():
         return None
     lag = X[:, 1]
-    if not (((lag == 0) | (lag == 1)).all() and ((y == 0) | (y == 1)).all()):
+    if not (_binary(lag) and _binary(y)):
         return None
     (n00, n01), (n10, n11) = transition_counts(lag, y)
-    if not (n00 and n01 and n10 and n11):
+    if not (n01 + n11 and n00 + n10):
+        raise SeparationError(_CONSTANT)
+    if not (n00 + n01 and n10 + n11):
         return None
+    if not (n00 and n01 and n10 and n11):
+        raise SeparationError(_EMPTY_CELL.format(1))
     b0 = math.log(n01 / n00)
     beta = np.array([b0, math.log(n11 / n10) - b0])
     value = _loglik(y, X @ beta)
     return beta, value, True, 0
 
 
-def _empty_cell(X: np.ndarray, y: np.ndarray) -> int:
-    """The first column whose table with the response has an empty cell.
+def _separation(X: np.ndarray, y: np.ndarray) -> tuple[int, str]:
+    """The first order whose leading columns separate the responses, and why.
 
-    Column 0, the constant, has one when the responses are constant.  A
-    lag column is read, on its own, when it and the responses are 0/1 and
-    it takes both values.  An empty cell gives a direction along which
-    the likelihood rises without bound: +e_j or −e_j when lag j = 1 is
-    never followed by one of the responses, e_0 − e_j or e_j − e_0 when
-    lag j = 0 is not (Albert & Anderson, 1984).  Without one it returns
-    the number of columns; a slice of leading columns agrees on those.
+    Order 0 is constant responses.  A 0/1 lag j that takes both values
+    separates when its 2×2 table with 0/1 responses has an empty cell:
+    ±e_j or ±(e_0 − e_j) is then a direction of unbounded likelihood
+    (Albert & Anderson, 1984).  0/1 lags 1 and 2 separate when some g,
+    affine on the corners of their square (g00 − g01 − g10 + g11 = 0), is
+    ≥ 0 where only successes, ≤ 0 where only failures, 0 where both occur,
+    and not 0 everywhere: with three corners seen, when one is unmixed;
+    with four, when two unmixed ones have differing signs times (+1, −1,
+    −1, +1).  Fewer corners leave the design rank-deficient.  A direction
+    that separates order l, padded with zeros, separates every larger
+    order, so a slice of leading columns agrees on its own orders.
+    Without a verdict it returns the number of columns and "".
     """
-    if np.all(y == y[0]):
-        return 0
-    if not ((y == 0) | (y == 1)).all():
-        return X.shape[1]
+    if (y == y[0]).all():
+        return 0, _CONSTANT
+    k = X.shape[1]
+    if not _binary(y):
+        return k, ""
     lags = X[:, 1:]
     n = len(y)
     ones = lags.sum(axis=0)
@@ -342,8 +355,19 @@ def _empty_cell(X: np.ndarray, y: np.ndarray) -> int:
     n01 = y.sum() - n11
     # n10 = ones - n11 and n00 = (n - ones) - n01 complete each table.
     empty = (n11 == 0) | (n11 == ones) | (n01 == 0) | (n01 == n - ones)
-    empty &= ((lags == 0) | (lags == 1)).all(axis=0) & (0 < ones) & (ones < n)
-    return int(empty.argmax()) + 1 if empty.any() else X.shape[1]
+    empty &= (0 < ones) & (ones < n)
+    # Only the columns a verdict reads are checked for 0/1 values.
+    first = next((int(j) + 1 for j in np.flatnonzero(empty) if _binary(lags[:, j])), k)
+    if first > 2 < k and _binary(X[:, 1:3]):
+        # (failures, successes) at each corner 2 * lag 1 + lag 2.
+        cells = np.bincount((4 * X[:, 1] + 2 * X[:, 2] + y).astype(np.intp), minlength=8).tolist()
+        corners = list(zip(cells[0::2], cells[1::2]))
+        # +1 with only successes, −1 with only failures, 0 else; times the sign in g.
+        signed = [((f == 0) - (s == 0)) * sign for (f, s), sign in zip(corners, (1, -1, -1, 1))]
+        seen = sum(map(any, corners))
+        if seen == 3 and any(signed) or seen == 4 and max(signed) > 0 > min(signed):
+            return 2, "perfect separation: lags 1 and 2 split the responses in their joint table"
+    return first, _EMPTY_CELL.format(first) if first < k else ""
 
 
 def fit(
@@ -351,23 +375,25 @@ def fit(
     *,
     ridge_fallback: bool = False,
     _start: Sequence[float] | None = None,
-    _empty: int | None = None,
+    _separated: tuple[int, str] | None = None,
 ) -> ModelFit:
     """Maximum-likelihood fit of the order-l autologistic coefficients.
 
-    Constant responses raise :class:`SeparationError`, and so does a
-    0/1 lag column that takes both values and leaves an empty cell in
-    its 2×2 table with the response, before any iteration.  An order-1
-    design over 0/1 values whose four transition counts are all positive
-    is then fit in closed form (``iterations=0``); every other design is
-    fit by damped Newton iterations, whose separation checks raise
+    Before any iteration :class:`SeparationError` is raised for constant
+    responses, for a 0/1 lag column that takes both values and leaves an
+    empty cell in its 2×2 table with the response, and, from order 2 on,
+    for 0/1 lags 1 and 2 that split the responses in their joint table
+    (see ``_separation``).  An order-1 design over 0/1 values is decided
+    and, when its four transition counts are all positive, fit in closed
+    form from one table (``iterations=0``); every other design is fit by
+    damped Newton iterations, whose separation checks raise
     :class:`SeparationError` too.  A singular weighted system raises
     :class:`SingularModelError`.  With ``ridge_fallback`` set, either
     error instead retries the fit from zero with a small quadratic
     penalty, flagged as ``ridge`` (and as ``separation_detected`` after
     a separation).  Private to this module, ``_start`` is where the
-    unpenalized iterations begin, and ``_empty`` the ``_empty_cell`` of
-    a design whose leading columns and responses are this one's;
+    unpenalized iterations begin, and ``_separated`` the ``_separation``
+    of a design whose leading columns and responses are this one's;
     ``select_order`` passes the order below's fit and its cap design's.
     """
     parameters = design.order + 1
@@ -376,17 +402,15 @@ def fit(
             f"{design.n} responses cannot identify {parameters} coefficients"
         )
     X, y = design.X, design.y
-    empty = _empty_cell(X, y) if _empty is None else _empty
     separation = ridge = False
     try:
-        if empty == 0:
-            raise SeparationError("responses are constant; likelihood is unbounded")
-        if empty <= design.order:
-            raise SeparationError(
-                f"perfect separation: lag {empty} leaves an empty cell "
-                "in its table with the response"
-            )
-        beta, value, converged, iterations = _markov_mle(X, y) or _irls(X, y, 0.0, _start)
+        fitted = _markov_mle(X, y)
+        if fitted is None:
+            first, message = _separated or _separation(X, y)
+            if first <= design.order:
+                raise SeparationError(message)
+            fitted = _irls(X, y, 0.0, _start)
+        beta, value, converged, iterations = fitted
     except (SeparationError, SingularModelError) as exc:
         if not ridge_fallback:
             raise
@@ -394,7 +418,7 @@ def fit(
         beta, _, converged, iterations = _irls(X, y, RIDGE_LAMBDA)
         value = _loglik(y, X @ beta)
     return ModelFit(
-        beta=tuple(float(b) for b in beta),
+        beta=tuple(beta.tolist()),
         loglik=value,
         aic=2.0 * parameters - 2.0 * value,
         order=design.order,
@@ -464,14 +488,14 @@ def select_order(
     # compare like with like.  Per-order windows would hand longer lags
     # fewer responses and shift their log-likelihoods mechanically,
     # swamping the AIC penalty.  Order l is the first l + 1 columns, and
-    # the cap design's zero-cell check answers for every order.
+    # the cap design's table checks answer for every order.
     shared = build_lag_design(w, cap)
-    empty = _empty_cell(shared.X, shared.y)
+    separated = _separation(shared.X, shared.y)
     start, warm = None, True
     for order in range(1, cap + 1):
         design = LagDesign(np.ascontiguousarray(shared.X[:, : order + 1]), shared.y)
         try:
-            model = fit(design, ridge_fallback=ridge_fallback, _start=start, _empty=empty)
+            model = fit(design, ridge_fallback=ridge_fallback, _start=start, _separated=separated)
         except SeparationError as exc:
             # A direction b separating order l gives (b, 0) separating
             # every larger order on the same responses: none has an MLE.

@@ -197,6 +197,31 @@ def test_order_one_fits_are_the_markov_chain_mle(monkeypatch):
     assert closed_forms > 1000
 
 
+def test_one_table_decides_and_fits_every_order_one_design(monkeypatch):
+    # fit reads an order-1 0/1 design's verdict and closed form from one
+    # 2x2 table.  Deciding it first by the general checks and counting
+    # again for the closed form must give the same ModelFit bit for bit,
+    # or the same exception and message, on every series of length 3-12.
+    designs = [
+        build_lag_design(series(values), 1)
+        for length in range(3, 13)
+        for values in itertools.product((0, 1), repeat=length)
+    ]
+    outcomes = [_outcome(design) for design in designs]
+    markov_mle = autologistic._markov_mle
+
+    def checked_first(X, y):
+        first, message = autologistic._separation(X, y)
+        if first <= 1:
+            raise SeparationError(message)
+        return markov_mle(X, y)
+
+    monkeypatch.setattr(autologistic, "_markov_mle", checked_first)
+    assert [repr(_outcome(design)) for design in designs] == list(map(repr, outcomes))
+    fits = sum(isinstance(outcome, ModelFit) for outcome in outcomes)
+    assert fits > 1000 and len(outcomes) - fits > 1000
+
+
 def test_sigmoid_is_bit_identical_to_the_masked_pair():
     def masked_pair(eta):
         out = np.empty_like(eta)
@@ -259,17 +284,22 @@ def test_constant_responses_separate():
 
 def test_an_empty_cell_separates_before_either_fitting_path(monkeypatch):
     # 0110 at order 1: lag 0 is never followed by 0, so e_0 - e_1
-    # separates.  Without this check the fit returned (19.2, -19.2).
+    # separates.  Without this check the fit returned (19.2, -19.2).  The
+    # order-1 table decides it before the closed form evaluates a
+    # likelihood; without the closed form, fit's general checks decide it.
     def unreachable(*args):
         raise AssertionError("the design reached a fitting path")
 
-    monkeypatch.setattr(autologistic, "_markov_mle", unreachable)
+    monkeypatch.setattr(autologistic, "_loglik", unreachable)
     monkeypatch.setattr(autologistic, "_irls", unreachable)
-    with pytest.raises(SeparationError) as caught:
-        fit(build_lag_design(series([0, 1, 1, 0]), 1))
-    assert str(caught.value) == (
-        "perfect separation: lag 1 leaves an empty cell in its table with the response"
-    )
+    design = build_lag_design(series([0, 1, 1, 0]), 1)
+    for markov_mle in (autologistic._markov_mle, lambda X, y: None):
+        monkeypatch.setattr(autologistic, "_markov_mle", markov_mle)
+        with pytest.raises(SeparationError) as caught:
+            fit(design)
+        assert str(caught.value) == (
+            "perfect separation: lag 1 leaves an empty cell in its table with the response"
+        )
 
 
 def test_a_constant_lag_column_is_still_singular():
@@ -282,12 +312,48 @@ def test_a_constant_lag_column_is_still_singular():
 
 
 def test_the_flattest_direction_finds_separation_off_the_axes():
-    # Every 2x2 table is full, and the recession direction is e_1 - e_2:
-    # without the probe the fit returned (0.0, 19.2, -19.2).
-    design = build_lag_design(series([0, 0, 0, 1, 1, 1, 0]), 2)
+    # Every 2x2 table is full, lags 1 and 2 split nothing, and the
+    # recession direction is e_2 - e_3: without the probe the fit
+    # returned (0.9, -0.6, 18.9, -19.5).
+    design = build_lag_design(series([0, 0, 0, 0, 1, 1, 1, 0, 1]), 3)
     assert oracles.lp_separated(design.X, design.y)
+    assert autologistic._separation(design.X, design.y) == (4, "")
     with pytest.raises(SeparationError, match="flattest direction"):
         fit(design)
+
+
+@pytest.mark.parametrize(
+    "values, separated",
+    [
+        # Three corners seen: 10 holds only successes, 00 and 11 both
+        # responses; g = e_1 - e_2 is 1 at 10 and 0 at 00 and 11.  The
+        # probe used to find it after 17-20 Newton steps.
+        ("0001110", True),
+        # Four corners: 01 only failures, 10 only successes; their signs
+        # times (+1, -1, -1, +1) are +1 and -1, so g = e_1 - e_2 again.
+        ("00011100", True),
+        # Four corners: 01 only successes, 11 only failures; both signs
+        # are -1, so no affine g separates.
+        ("00010110", False),
+    ],
+)
+def test_lags_one_and_two_decide_order_two_before_iterating(monkeypatch, values, separated):
+    # Every 2x2 table of a single lag is full in all three designs.
+    design = build_lag_design(series(int(v) for v in values), 2)
+    assert oracles.lp_separated(design.X, design.y) == separated
+    message = "perfect separation: lags 1 and 2 split the responses in their joint table"
+    assert autologistic._separation(design.X, design.y) == ((2, message) if separated else (3, ""))
+    if not separated:
+        assert fit(design).converged
+        return
+
+    def unreachable(*args):
+        raise AssertionError("the design reached a fitting path")
+
+    monkeypatch.setattr(autologistic, "_irls", unreachable)
+    with pytest.raises(SeparationError) as caught:
+        fit(design)
+    assert str(caught.value) == message
 
 
 def test_the_flattest_direction_probe_does_not_depend_on_the_start():
@@ -422,6 +488,7 @@ _VERDICT_KINDS = {
     "responses are constant": "constant",
     "leaves an empty cell": "zero-cell",
     "flattest direction": "flattest",
+    "lags 1 and 2 split": "pair",
     "while the likelihood still improves": "bound",
 }
 
@@ -451,11 +518,14 @@ def test_every_separation_verdict_is_lp_separated():
                 else:
                     misses[order] += _lp_separated_rows(design, memo)
     for order in (2, 3):
-        assert verdicts[order, "zero-cell"] > 100 and verdicts[order, "flattest"] > 100
-    # The remaining misses are order-3 designs whose recession cone is
-    # two-dimensional: XᵀWX has two near-zero eigenvalues, and its
-    # flattest eigenvector alone is no direction of increase.
-    assert dict(misses) == {1: 0, 2: 0, 3: 20}
+        assert verdicts[order, "zero-cell"] > 100 and verdicts[order, "pair"] > 100
+    # Lags 1 and 2 decide every order-2 design the probe used to; the
+    # probe still decides some at order 3.  The pair rule also decides the
+    # order-3 designs whose recession cone is two-dimensional, where XᵀWX
+    # has two near-zero eigenvalues and its flattest eigenvector alone is
+    # no direction of increase.
+    assert verdicts[2, "flattest"] == 0 and verdicts[3, "flattest"] > 0
+    assert dict(misses) == {1: 0, 2: 0, 3: 0}
 
 
 def test_select_order_returns_no_aic_above_the_first_separated_order():
@@ -588,7 +658,9 @@ def test_warm_starts_select_what_cold_starts_select(monkeypatch, selections):
     monkeypatch.setattr(
         autologistic, "_irls", lambda X, y, lam, start=None: replay(X, y, lam)
     )
-    assert len(warm) > len(cases) // 2
+    # Exact at both ridge settings.  An order-2 design that lags 1 and 2
+    # separate raises before iterating, so its case starts no fit warm.
+    assert (len(cases), len(warm)) == (32542, 14662)
     for i in warm:
         w, options = cases[i]
         assert _rounded(_selection_outcome(w, **options)) == _rounded(outcomes[i]), (
@@ -598,11 +670,11 @@ def test_warm_starts_select_what_cold_starts_select(monkeypatch, selections):
 
 
 def test_the_per_package_zero_cell_check_changes_no_selection(monkeypatch, selections):
-    # select_order runs the constant-response and zero-cell checks once,
-    # on its cap design; with fit running its own checks on every order,
-    # every case must select exactly the same: order, AICs as exact
-    # floats, and skip reasons.  A value other than 0 and 1 at the start
-    # of a series reaches the cap design's last lag column only.
+    # select_order runs the constant-response, zero-cell and lags-1-and-2
+    # checks once, on its cap design; with fit running its own checks on
+    # every order, every case must select exactly the same: order, AICs
+    # as exact floats, and skip reasons.  A value other than 0 and 1 at
+    # the start of a series reaches the cap design's last lag column only.
     cases, outcomes, _, replay = selections
     odd = [series((2, *values)) for values in itertools.product((0, 1), repeat=11)]
     odd_options = cases[0][1]
@@ -612,7 +684,7 @@ def test_the_per_package_zero_cell_check_changes_no_selection(monkeypatch, selec
     monkeypatch.setattr(
         autologistic,
         "fit",
-        lambda design, *, _empty=None, **kwargs: own_checks(design, **kwargs),
+        lambda design, *, _separated=None, **kwargs: own_checks(design, **kwargs),
     )
     for (w, options), outcome in zip(cases, outcomes):
         assert _selection_outcome(w, **options) == outcome, (w.values, options)
