@@ -6,22 +6,22 @@ plus a constant.  A design is a numpy lag matrix whose row i is
 [1, w_{i-1}, ..., w_{i-l}]; one matrix at the largest candidate order
 serves every smaller order as its leading columns.  Fitting maximizes
 the exact likelihood by iteratively reweighted least squares with step
-halving, so the objective never decreases between iterations.  The
-order-1 model is the first-order Markov chain: when all four of its
-transition counts are positive its MLE is their shares, computed in
-closed form without iterating.  Perfect separation, where no MLE
-exists, is found before iterating when the responses are constant, when
-a lag's 2×2 table with the response has an empty cell, or when lags 1
-and 2 split the responses in their joint table (Albert & Anderson,
-1984), and otherwise by the iterations' divergence checks.  It is either
-reported as an error or, when the ridge fallback is enabled, handled by
-a small quadratic penalty (the stored log-likelihood stays unpenalized;
-AIC is then approximate and the fit is flagged).
+halving, so the objective never decreases between iterations.  One
+pass over the design's tables runs first.  It finds perfect separation,
+where no MLE exists, when the responses are constant, when a lag's 2×2
+table with the response has an empty cell, or when lags 1 and 2 split
+the responses in their joint table (Albert & Anderson, 1984); later
+separation is found by the iterations' divergence checks.  Its lag-1
+table also fits the order-1 model, the first-order Markov chain: when
+all four transition counts are positive the MLE is their shares, in
+closed form without iterating.  Separation is either reported as an
+error or, when the ridge fallback is enabled, handled by a small
+quadratic penalty (the stored log-likelihood stays unpenalized; AIC is
+then approximate and the fit is flagged).
 
 Model order is chosen per package as the AIC minimizer over orders
-1 ... floor(MAX_ORDER_FRACTION * r), which share one set of those
-table checks.
-Each order's iterations start at the fit one order below, padded with a
+1 ... floor(MAX_ORDER_FRACTION * r), which share one table pass.  Each
+order's iterations start at the fit one order below, padded with a
 zero coefficient.  The forecast experiment fits on a training prefix
 and scores one-step-ahead probabilities for the last t releases against
 a majority-vote baseline.
@@ -65,6 +65,7 @@ MAX_ORDER_FRACTION = 0.1
 TIE_VALUE = 1
 _CONSTANT = "responses are constant; likelihood is unbounded"
 _EMPTY_CELL = "perfect separation: lag {} leaves an empty cell in its table with the response"
+_SPLIT = "perfect separation: lags 1 and 2 split the responses in their joint table"
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,40 +296,8 @@ def _binary(values: np.ndarray) -> bool:
     return bool(((values == 0) | (values == 1)).all())
 
 
-def _markov_mle(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, bool, int] | None:
-    """Decide and fit an order-1 0/1 design from its one 2×2 table.
-
-    The table gives ``_separation``'s verdicts, raised as
-    :class:`SeparationError`: constant responses, or an empty cell under a
-    lag that takes both values.  With all four transition counts
-    positive the fitted probabilities are the transition shares of the
-    first-order Markov chain: sigmoid(b0) = n01 / (n00 + n01) and
-    sigmoid(b0 + b1) = n11 / (n10 + n11), where nab counts lag a followed
-    by response b; the MLE is returned as ``_irls`` would report it.
-    Returns None for any other design, and for a constant lag column: the
-    design is then rank-deficient, and ``_irls`` raises
-    :class:`SingularModelError` on it.
-    """
-    if X.shape[1] != 2 or not (X[:, 0] == 1).all():
-        return None
-    lag = X[:, 1]
-    if not (_binary(lag) and _binary(y)):
-        return None
-    (n00, n01), (n10, n11) = transition_counts(lag, y)
-    if not (n01 + n11 and n00 + n10):
-        raise SeparationError(_CONSTANT)
-    if not (n00 + n01 and n10 + n11):
-        return None
-    if not (n00 and n01 and n10 and n11):
-        raise SeparationError(_EMPTY_CELL.format(1))
-    b0 = math.log(n01 / n00)
-    beta = np.array([b0, math.log(n11 / n10) - b0])
-    value = _loglik(y, X @ beta)
-    return beta, value, True, 0
-
-
-def _separation(X: np.ndarray, y: np.ndarray) -> tuple[int, str]:
-    """The first order whose leading columns separate the responses, and why.
+def _separation(X: np.ndarray, y: np.ndarray) -> tuple[int, str, tuple[int, ...] | None]:
+    """The first order whose leading columns separate, why, and lag 1's table.
 
     Order 0 is constant responses.  A 0/1 lag j that takes both values
     separates when its 2×2 table with 0/1 responses has an empty cell:
@@ -341,14 +310,25 @@ def _separation(X: np.ndarray, y: np.ndarray) -> tuple[int, str]:
     −1, +1).  Fewer corners leave the design rank-deficient.  A direction
     that separates order l, padded with zeros, separates every larger
     order, so a slice of leading columns agrees on its own orders.
-    Without a verdict it returns the number of columns and "".
+    Without a verdict it returns the number of columns and "".  The
+    table is (n00, n01, n10, n11), where nab counts lag 1 = a followed by
+    response b, when the responses vary and they and lag 1 are 0/1, else
+    None.
     """
     if (y == y[0]).all():
-        return 0, _CONSTANT
+        return 0, _CONSTANT, None
     k = X.shape[1]
     if not _binary(y):
-        return k, ""
-    lags = X[:, 1:]
+        return k, "", None
+    cells = None
+    if k > 1 and _binary(X[:, 1]):
+        (n00, n01), (n10, n11) = transition_counts(X[:, 1], y)
+        cells = n00, n01, n10, n11
+        if n00 + n01 and n10 + n11 and not min(cells):
+            return 1, _EMPTY_CELL.format(1), cells
+    if k < 3:
+        return k, "", cells
+    lags = X[:, 2:]
     n = len(y)
     ones = lags.sum(axis=0)
     n11 = y @ lags
@@ -357,17 +337,17 @@ def _separation(X: np.ndarray, y: np.ndarray) -> tuple[int, str]:
     empty = (n11 == 0) | (n11 == ones) | (n01 == 0) | (n01 == n - ones)
     empty &= (0 < ones) & (ones < n)
     # Only the columns a verdict reads are checked for 0/1 values.
-    first = next((int(j) + 1 for j in np.flatnonzero(empty) if _binary(lags[:, j])), k)
-    if first > 2 < k and _binary(X[:, 1:3]):
+    first = next((int(j) + 2 for j in np.flatnonzero(empty) if _binary(lags[:, j])), k)
+    if first > 2 and cells and _binary(X[:, 2]):
         # (failures, successes) at each corner 2 * lag 1 + lag 2.
-        cells = np.bincount((4 * X[:, 1] + 2 * X[:, 2] + y).astype(np.intp), minlength=8).tolist()
-        corners = list(zip(cells[0::2], cells[1::2]))
+        joint = np.bincount((4 * X[:, 1] + 2 * X[:, 2] + y).astype(np.intp), minlength=8).tolist()
+        corners = list(zip(joint[0::2], joint[1::2]))
         # +1 with only successes, −1 with only failures, 0 else; times the sign in g.
         signed = [((f == 0) - (s == 0)) * sign for (f, s), sign in zip(corners, (1, -1, -1, 1))]
         seen = sum(map(any, corners))
         if seen == 3 and any(signed) or seen == 4 and max(signed) > 0 > min(signed):
-            return 2, "perfect separation: lags 1 and 2 split the responses in their joint table"
-    return first, _EMPTY_CELL.format(first) if first < k else ""
+            return 2, _SPLIT, cells
+    return first, _EMPTY_CELL.format(first) if first < k else "", cells
 
 
 def fit(
@@ -375,17 +355,17 @@ def fit(
     *,
     ridge_fallback: bool = False,
     _start: Sequence[float] | None = None,
-    _separated: tuple[int, str] | None = None,
+    _separated: tuple[int, str, tuple[int, ...] | None] | None = None,
 ) -> ModelFit:
     """Maximum-likelihood fit of the order-l autologistic coefficients.
 
-    Before any iteration :class:`SeparationError` is raised for constant
-    responses, for a 0/1 lag column that takes both values and leaves an
-    empty cell in its 2×2 table with the response, and, from order 2 on,
-    for 0/1 lags 1 and 2 that split the responses in their joint table
-    (see ``_separation``).  An order-1 design over 0/1 values is decided
-    and, when its four transition counts are all positive, fit in closed
-    form from one table (``iterations=0``); every other design is fit by
+    One table pass (``_separation``) runs before any iteration.  It
+    raises :class:`SeparationError` for constant responses, for a 0/1 lag
+    column that takes both values and leaves an empty cell in its 2×2
+    table with the response, and, from order 2 on, for 0/1 lags 1 and 2
+    that split the responses in their joint table.  Its lag-1 table fits
+    an order-1 0/1 design in closed form when the four transition counts
+    are all positive (``iterations=0``); every other design is fit by
     damped Newton iterations, whose separation checks raise
     :class:`SeparationError` too.  A singular weighted system raises
     :class:`SingularModelError`.  With ``ridge_fallback`` set, either
@@ -394,7 +374,8 @@ def fit(
     a separation).  Private to this module, ``_start`` is where the
     unpenalized iterations begin, and ``_separated`` the ``_separation``
     of a design whose leading columns and responses are this one's;
-    ``select_order`` passes the order below's fit and its cap design's.
+    ``select_order`` passes the order below's fit and its cap design's,
+    naming as separated a smaller order whose fit found separation.
     """
     parameters = design.order + 1
     if design.n < parameters:
@@ -404,13 +385,16 @@ def fit(
     X, y = design.X, design.y
     separation = ridge = False
     try:
-        fitted = _markov_mle(X, y)
-        if fitted is None:
-            first, message = _separated or _separation(X, y)
-            if first <= design.order:
-                raise SeparationError(message)
-            fitted = _irls(X, y, 0.0, _start)
-        beta, value, converged, iterations = fitted
+        first, message, cells = _separated or _separation(X, y)
+        if first <= design.order:
+            raise SeparationError(message)
+        if design.order == 1 and cells and min(cells) and (X[:, 0] == 1).all():
+            n00, n01, n10, n11 = cells
+            b0 = math.log(n01 / n00)
+            beta = np.array([b0, math.log(n11 / n10) - b0])
+            value, converged, iterations = _loglik(y, X @ beta), True, 0
+        else:
+            beta, value, converged, iterations = _irls(X, y, 0.0, _start)
     except (SeparationError, SingularModelError) as exc:
         if not ridge_fallback:
             raise
@@ -460,7 +444,8 @@ def select_order(
     Orders whose fit fails are skipped with a reason.  The first order
     whose fit finds separation ends the search: every larger order is
     separated too, and is skipped without a fit, with the reason
-    ``order <l> is separated: <message>``.  A singular or too-short fit
+    ``order <l> is separated: <message>``; under ``ridge_fallback`` it
+    takes the ridge fit directly instead.  A singular or too-short fit
     skips only its own order.  No candidate fitting at all, or a cap
     that leaves no response to fit, is a selection error.
 
@@ -510,6 +495,8 @@ def select_order(
         aics[order] = model.aic
         # Above a ridge fit every order is separated or singular too.
         warm = warm and not model.ridge
+        if model.separation_detected:
+            separated = (order, *separated[1:])
         start = (*model.beta, 0.0) if warm else None
     if not aics:
         raise OrderSelectionError(

@@ -38,6 +38,7 @@ from vulnseries.errors import (
     SeparationError,
     SingularModelError,
 )
+from vulnseries.markov import transition_counts
 from vulnseries.vectorize import BinarySeries
 
 
@@ -165,6 +166,12 @@ def _outcome(design):
         return type(exc), str(exc)
 
 
+def _without_table(monkeypatch):
+    """Make ``_separation`` drop lag 1's table, which forces the iterations."""
+    separation = autologistic._separation
+    monkeypatch.setattr(autologistic, "_separation", lambda X, y: (*separation(X, y)[:2], None))
+
+
 def test_order_one_fits_are_the_markov_chain_mle(monkeypatch):
     # Every binary series of length 3 to 12.  With every transition cell
     # positive the closed form must agree with the Newton iterations;
@@ -176,7 +183,7 @@ def test_order_one_fits_are_the_markov_chain_mle(monkeypatch):
     ]
     assert len(designs) == 8184
     exact = [_outcome(design) for design in designs]
-    monkeypatch.setattr(autologistic, "_markov_mle", lambda X, y: None)
+    _without_table(monkeypatch)
     iterative = [_outcome(design) for design in designs]
     closed_forms = 0
     for design, model, reference in zip(designs, exact, iterative):
@@ -198,25 +205,27 @@ def test_order_one_fits_are_the_markov_chain_mle(monkeypatch):
 
 
 def test_one_table_decides_and_fits_every_order_one_design(monkeypatch):
-    # fit reads an order-1 0/1 design's verdict and closed form from one
-    # 2x2 table.  Deciding it first by the general checks and counting
-    # again for the closed form must give the same ModelFit bit for bit,
-    # or the same exception and message, on every series of length 3-12.
+    # fit reads an order-1 0/1 design's verdict and closed form from the
+    # one 2x2 table that _separation counts.  Counting the table again,
+    # independently, for the closed form must give the same ModelFit bit
+    # for bit, or the same exception and message, on every series of
+    # length 3-12.
     designs = [
         build_lag_design(series(values), 1)
         for length in range(3, 13)
         for values in itertools.product((0, 1), repeat=length)
     ]
     outcomes = [_outcome(design) for design in designs]
-    markov_mle = autologistic._markov_mle
+    separation = autologistic._separation
 
-    def checked_first(X, y):
-        first, message = autologistic._separation(X, y)
-        if first <= 1:
-            raise SeparationError(message)
-        return markov_mle(X, y)
+    def counted_again(X, y):
+        first, message, cells = separation(X, y)
+        if cells is not None:
+            (n00, n01), (n10, n11) = transition_counts(X[:, 1], y)
+            cells = n00, n01, n10, n11
+        return first, message, cells
 
-    monkeypatch.setattr(autologistic, "_markov_mle", checked_first)
+    monkeypatch.setattr(autologistic, "_separation", counted_again)
     assert [repr(_outcome(design)) for design in designs] == list(map(repr, outcomes))
     fits = sum(isinstance(outcome, ModelFit) for outcome in outcomes)
     assert fits > 1000 and len(outcomes) - fits > 1000
@@ -286,15 +295,16 @@ def test_an_empty_cell_separates_before_either_fitting_path(monkeypatch):
     # 0110 at order 1: lag 0 is never followed by 0, so e_0 - e_1
     # separates.  Without this check the fit returned (19.2, -19.2).  The
     # order-1 table decides it before the closed form evaluates a
-    # likelihood; without the closed form, fit's general checks decide it.
+    # likelihood, and with the table dropped, before the iterations.
     def unreachable(*args):
         raise AssertionError("the design reached a fitting path")
 
     monkeypatch.setattr(autologistic, "_loglik", unreachable)
     monkeypatch.setattr(autologistic, "_irls", unreachable)
     design = build_lag_design(series([0, 1, 1, 0]), 1)
-    for markov_mle in (autologistic._markov_mle, lambda X, y: None):
-        monkeypatch.setattr(autologistic, "_markov_mle", markov_mle)
+    for drop_table in (False, True):
+        if drop_table:
+            _without_table(monkeypatch)
         with pytest.raises(SeparationError) as caught:
             fit(design)
         assert str(caught.value) == (
@@ -317,7 +327,7 @@ def test_the_flattest_direction_finds_separation_off_the_axes():
     # returned (0.9, -0.6, 18.9, -19.5).
     design = build_lag_design(series([0, 0, 0, 0, 1, 1, 1, 0, 1]), 3)
     assert oracles.lp_separated(design.X, design.y)
-    assert autologistic._separation(design.X, design.y) == (4, "")
+    assert autologistic._separation(design.X, design.y) == (4, "", (1, 2, 1, 2))
     with pytest.raises(SeparationError, match="flattest direction"):
         fit(design)
 
@@ -342,7 +352,9 @@ def test_lags_one_and_two_decide_order_two_before_iterating(monkeypatch, values,
     design = build_lag_design(series(int(v) for v in values), 2)
     assert oracles.lp_separated(design.X, design.y) == separated
     message = "perfect separation: lags 1 and 2 split the responses in their joint table"
-    assert autologistic._separation(design.X, design.y) == ((2, message) if separated else (3, ""))
+    verdict = (2, message) if separated else (3, "")
+    cells = tuple(np.bincount((2 * design.X[:, 1] + design.y).astype(int), minlength=4).tolist())
+    assert autologistic._separation(design.X, design.y) == (*verdict, cells)
     if not separated:
         assert fit(design).converged
         return
@@ -675,17 +687,27 @@ def test_the_per_package_zero_cell_check_changes_no_selection(monkeypatch, selec
     # every order, every case must select exactly the same: order, AICs
     # as exact floats, and skip reasons.  A value other than 0 and 1 at
     # the start of a series reaches the cap design's last lag column only.
+    # Under the ridge, every order above one whose fit found separation
+    # is told so, as select_order tells it, and takes the ridge directly.
     cases, outcomes, _, replay = selections
     odd = [series((2, *values)) for values in itertools.product((0, 1), repeat=11)]
     odd_options = cases[0][1]
     odd_outcomes = [_selection_outcome(w, **odd_options) for w in odd]
     own_checks = autologistic.fit
+    separated_below = []
+
+    def reference_fit(design, *, _separated=None, **kwargs):
+        if design.order == 1:
+            separated_below.clear()
+        if separated_below:
+            return own_checks(design, _separated=(separated_below[0], "", None), **kwargs)
+        model = own_checks(design, **kwargs)
+        if model.separation_detected:
+            separated_below.append(design.order)
+        return model
+
     monkeypatch.setattr(autologistic, "_irls", replay)
-    monkeypatch.setattr(
-        autologistic,
-        "fit",
-        lambda design, *, _separated=None, **kwargs: own_checks(design, **kwargs),
-    )
+    monkeypatch.setattr(autologistic, "fit", reference_fit)
     for (w, options), outcome in zip(cases, outcomes):
         assert _selection_outcome(w, **options) == outcome, (w.values, options)
     for w, outcome in zip(odd, odd_outcomes):
@@ -709,6 +731,35 @@ def test_orders_start_at_the_fit_below_until_the_first_ridge_fit(monkeypatch):
     assert calls == [(1, None), (2, (*first.beta, 0.0)), (3, None), (4, None)]
     second = fit(LagDesign(shared.X[:, :3], shared.y), ridge_fallback=True)
     assert second.ridge and second.separation_detected
+
+
+def test_an_order_above_a_probe_separated_order_takes_the_ridge_directly(monkeypatch):
+    # No table check separates this series' cap design; the flattest-
+    # direction probe finds order 3 separated, so order 3 is a ridge fit.
+    # Order 4's own unpenalized fit converges, in 19 iterations, although
+    # its design is separated too: (b, 0) carries order 3's direction b
+    # up.  Under the ridge, order 4 must take the ridge fit directly, as
+    # an order above a table-separated order does.
+    w = series(int(v) for v in "00000000111101")
+    shared = build_lag_design(w, 4)
+    assert autologistic._separation(shared.X, shared.y)[:2] == (5, "")
+    assert oracles.lp_separated(shared.X, shared.y)
+    unpenalized = fit(shared, ridge_fallback=True)
+    assert unpenalized.converged and not unpenalized.ridge
+    irls = autologistic._irls
+    calls = []
+
+    def recording(X, y, lam, start=None):
+        calls.append((X.shape[1] - 1, lam))
+        return irls(X, y, lam, start)
+
+    monkeypatch.setattr(autologistic, "_irls", recording)
+    selection = select_order(w, max_order_fraction=0.3, ridge_fallback=True)
+    ridge = autologistic.RIDGE_LAMBDA
+    assert calls == [(2, 0.0), (3, 0.0), (3, ridge), (4, ridge)]
+    penalized = irls(shared.X, shared.y, ridge)[0]
+    assert selection.aics[4] == 10.0 - 2.0 * log_likelihood(shared, penalized)
+    assert selection.aics[4] != unpenalized.aic
 
 
 def test_a_singular_fit_skips_only_its_own_order(monkeypatch):
