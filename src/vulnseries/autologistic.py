@@ -30,7 +30,6 @@ a majority-vote baseline.
 from __future__ import annotations
 
 import math
-import random
 import statistics
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -202,17 +201,6 @@ def _loglik(y: np.ndarray, eta: np.ndarray) -> float:
 def _gradient(X: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Log-likelihood gradient given the fitted probabilities ``p``."""
     return X.T @ (y - p)
-
-
-def log_likelihood(design: LagDesign, beta: Sequence[float]) -> float:
-    """Exact Bernoulli log-likelihood of the coefficients on the design."""
-    return _loglik(design.y, design.X @ np.asarray(beta, dtype=float))
-
-
-def score(design: LagDesign, beta: Sequence[float]) -> tuple[float, ...]:
-    """Analytic gradient of the log-likelihood at ``beta``."""
-    eta = design.X @ np.asarray(beta, dtype=float)
-    return tuple(_gradient(design.X, design.y, _sigmoid(eta)))
 
 
 def _irls(
@@ -411,13 +399,6 @@ def fit(
         ridge=ridge,
         iterations=iterations,
     )
-
-
-def _logistic(eta: float) -> float:
-    if eta >= 0:
-        return 1.0 / (1.0 + math.exp(-eta))
-    expeta = math.exp(eta)
-    return expeta / (1.0 + expeta)
 
 
 def max_order(r: int, fraction: float = MAX_ORDER_FRACTION) -> int:
@@ -704,30 +685,3 @@ def run_experiment(
         summaries=summaries,
         orders=orders,
     )
-
-
-def simulate(
-    beta: Sequence[float],
-    n: int,
-    rng: random.Random,
-    initial: Sequence[int] | None = None,
-) -> list[int]:
-    """Draw a series of length n from the autologistic generative model.
-
-    ``beta[0]`` is the constant; ``beta[k]`` weights the value k steps
-    back.  ``initial`` seeds the pre-series history (oldest first, the
-    last element immediately precedes the series); it defaults to zeros.
-    """
-    order = len(beta) - 1
-    if initial is not None and len(initial) != order:
-        raise ValueError(f"expected {order} initial values, got {len(initial)}")
-    past = list(initial) if initial is not None else [0] * order
-    values: list[int] = []
-    for _ in range(n):
-        eta = beta[0]
-        for k in range(1, order + 1):
-            eta += beta[k] * past[-k]
-        draw = 1 if rng.random() < _logistic(eta) else 0
-        values.append(draw)
-        past.append(draw)
-    return values

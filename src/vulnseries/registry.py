@@ -7,8 +7,9 @@ version precedence first and timestamp second, so a backfilled old
 version does not scramble the series.
 
 Network access goes through an injectable ``transport`` callable so
-tests never touch the real index.  Responses are cached on disk with
-atomic writes; ``offline=True`` serves from cache only.  A *snapshot*
+tests never touch the real index.  Responses are cached in one file
+per cache directory, which only a run that downloads something rewrites,
+whole and atomically; ``offline=True`` serves from cache only.  A *snapshot*
 bundles many ordered histories into one schema-versioned JSON document
 so downstream stages are reproducible without any network at all.
 """
@@ -177,8 +178,9 @@ def _history(package: str, releases: dict, parse: Callable[[str], Version]) -> _
 def _atomic_file(path: Path, mode: str, encoding: str | None = None) -> Iterator[IO]:
     """Open a temporary file beside ``path``; rename it over ``path`` when the block ends.
 
-    A snapshot streams into it without a second copy in memory; on any
-    error the temporary file is removed and ``path`` is left as it was.
+    A snapshot or the payload cache streams into it without a second copy
+    in memory; on any error the temporary file is removed and ``path`` is
+    left as it was.
     ``open`` creates it (exclusively), so its mode follows the current umask.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -191,6 +193,25 @@ def _atomic_file(path: Path, mode: str, encoding: str | None = None) -> Iterator
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _cache_records(data: bytes) -> dict[str, tuple[int, int, int]]:
+    """Where each record of a payload cache starts, where its body starts and where it
+    ends, by normalized name; a cache truncated or garbled anywhere has no records."""
+    records = {}
+    start = 0
+    try:
+        while start < len(data):
+            newline = data.index(b"\n", start)
+            name, size = json.loads(data[start:newline])
+            end = newline + 1 + size
+            if type(name) is not str or type(size) is not int or size < 0 or end > len(data):
+                return {}
+            records[name] = (start, newline + 1, end)
+            start = end
+    except (ValueError, TypeError):
+        return {}
+    return records
 
 
 class PyPIClient:
@@ -214,20 +235,14 @@ class PyPIClient:
         self.sleep = sleep
         self.workers = max(1, workers)
 
-    # -- cache ---------------------------------------------------------
-
-    def _cache_path(self, package: str) -> Path | None:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / f"{normalize_name(package)}.json"
-
-    def _cached(self, package: str, parse: Callable[[str], Version]) -> _History | None:
-        """The cached history, or ``None`` online when the payload is missing or bad;
+    def _cached(
+        self, package: str, body: bytes | None, parse: Callable[[str], Version]
+    ) -> _History | None:
+        """The history of a cached ``body``, or ``None`` online when it is missing or bad;
         offline, those are an :class:`OfflineCacheMissError` and a :class:`PayloadFormatError`."""
-        path = self._cache_path(package)
-        if path is not None and path.is_file():
+        if body is not None:
             try:
-                return _history(package, _releases_map(package, path.read_bytes()), parse)
+                return _history(package, _releases_map(package, body), parse)
             except PayloadFormatError:
                 if self.offline:
                     raise
@@ -235,10 +250,11 @@ class PyPIClient:
             raise OfflineCacheMissError(f"offline mode and no cached payload for {package!r}")
         return None
 
-    # -- fetching ------------------------------------------------------
+    def _download(self, package: str) -> bytes:
+        """Request the payload, with retries, and return its body unchecked.
 
-    def _download(self, package: str) -> dict:
-        """Request the payload (with retries), check it is a releases map, cache it, return it."""
+        Worker threads run only this: checking and caching the body are the
+        calling thread's."""
         url = f"{self.endpoint}/{package}/json"
         last_error: Exception | None = None
         for attempt in range(_MAX_ATTEMPTS):
@@ -254,12 +270,7 @@ class PyPIClient:
             if status != 200:
                 last_error = TransportError(f"index returned HTTP {status} for {package!r}")
                 continue
-            releases = _releases_map(package, body)
-            path = self._cache_path(package)
-            if path is not None:
-                with _atomic_file(path, "wb") as handle:
-                    handle.write(body)
-            return releases
+            return body
         raise last_error or TransportError(f"no response for {package!r}")
 
     def fetch_many(
@@ -267,13 +278,24 @@ class PyPIClient:
     ) -> tuple[dict[str, ReleaseHistory], tuple[str, ...], tuple[AttritionRecord, ...]]:
         """Fetch several packages, downloading up to ``workers`` at once.
 
-        Worker threads only run :meth:`_download`: request, check, cache.
-        Only a payload that is a releases map is cached.  The calling thread
-        reads the cache and parses and orders every history, in package
+        The cache is one file, ``payloads`` in the cache directory, of records:
+        a JSON line ``[normalized name, byte count]``, then the body as
+        downloaded.  It is read once.  A truncated or garbled file is ignored
+        as a whole, and so are earlier versions' ``<name>.json`` files, so
+        such a directory is cold once.  Worker threads only run
+        :meth:`_download`; offline, none is started.  The calling thread
+        checks each payload and parses and orders every history, in package
         order, through one memo of :func:`parse_version` that ends with the
-        call.  Offline, no thread is started.  A payload that cannot be
-        interpreted, including a releases map with a version key that does
-        not parse, is a ``bad-payload``; online, a cached one is downloaded again.
+        call.  A payload that cannot be interpreted, including a releases map
+        with a version key that does not parse, is a ``bad-payload``; online,
+        a cached one is downloaded again.
+
+        Only a run that downloads something rewrites the cache.  It opens the
+        replacement before the first request, appends each downloaded releases
+        map, copies the records it did not replace and renames the file over
+        the old one at the end.  A run that raises or is interrupted keeps the
+        previous file and caches nothing.  Of two processes sharing a cache
+        directory, the last to rename wins, and nothing is corrupted.
 
         Failures never abort the batch: each :class:`RegistryError`
         becomes an :class:`AttritionRecord` under the error's ``reason``
@@ -285,28 +307,51 @@ class PyPIClient:
         warnings: list[str] = []
         failures: list[AttritionRecord] = []
         parse = functools.lru_cache(maxsize=None)(parse_version)
+        path = self.cache_dir / "payloads" if self.cache_dir is not None else None
+        data = path.read_bytes() if path is not None and path.is_file() else b""
+        records = _cache_records(data)
+        written: set[str] = set()  # the normalized names this run caches
         outcomes: deque = deque()  # per package: a history, a RegistryError or a download
         pool = ThreadPoolExecutor(max_workers=self.workers)
         try:
-            for package in packages:
-                try:
-                    outcome = self._cached(package, parse) or pool.submit(self._download, package)
-                except RegistryError as exc:
-                    outcome = exc
-                outcomes.append(outcome)
-            for package in packages:
-                outcome = outcomes.popleft()  # frees a downloaded releases map once ordered
-                if isinstance(outcome, Future):
+            with contextlib.ExitStack() as stack:
+                cache = None
+                for package in packages:
+                    record = records.get(normalize_name(package))
+                    body = data[record[1] : record[2]] if record else None
                     try:
-                        outcome = _history(package, outcome.result(), parse)
+                        outcome = self._cached(package, body, parse)
                     except RegistryError as exc:
                         outcome = exc
-                if isinstance(outcome, RegistryError):
-                    failures.append(AttritionRecord(package, outcome.reason, str(outcome)))
-                    continue
-                history, history_warnings = outcome
-                histories[package] = history
-                warnings.extend(history_warnings)
+                    if outcome is None:
+                        if cache is None and path is not None:
+                            cache = stack.enter_context(_atomic_file(path, "wb"))
+                        outcome = pool.submit(self._download, package)
+                    outcomes.append(outcome)
+                for package in packages:
+                    outcome = outcomes.popleft()  # frees a downloaded body once ordered
+                    if isinstance(outcome, Future):
+                        try:
+                            body = outcome.result()
+                            releases = _releases_map(package, body)
+                            name = normalize_name(package)
+                            if cache is not None and name not in written:
+                                written.add(name)
+                                cache.write(b"%s\n" % json.dumps([name, len(body)]).encode())
+                                cache.write(body)
+                            outcome = _history(package, releases, parse)
+                        except RegistryError as exc:
+                            outcome = exc
+                    if isinstance(outcome, RegistryError):
+                        failures.append(AttritionRecord(package, outcome.reason, str(outcome)))
+                        continue
+                    history, history_warnings = outcome
+                    histories[package] = history
+                    warnings.extend(history_warnings)
+                if cache is not None:
+                    for name, (start, _, end) in records.items():
+                        if name not in written:
+                            cache.write(data[start:end])
         finally:
             pool.shutdown(cancel_futures=True)
         return histories, tuple(warnings), tuple(failures)

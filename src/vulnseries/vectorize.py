@@ -123,11 +123,6 @@ def fill_clause(
     return mask
 
 
-def bits(mask: int, r: int) -> tuple[int, ...]:
-    """Expand a mask into its 0/1 marks over releases 0 .. r-1."""
-    return tuple((mask >> i) & 1 for i in range(r))
-
-
 def aggregate(
     package: str, masks: Sequence[int], r: int
 ) -> tuple[tuple[int, ...], BinarySeries]:

@@ -25,6 +25,7 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 sys.path[:0] = [str(TESTS), str(TESTS.parent / "src")]
 
+import oracles
 import reference_impl
 from vulnseries import autologistic, cli, safetydb, vectorize
 from vulnseries.registry import load_snapshot, order_history, save_snapshot
@@ -152,7 +153,7 @@ def find_echo() -> list[int]:
 def find_candidates(r: int, seeds: range, want: int = 5) -> list[tuple[int, list[int]]]:
     out = []
     for seed in seeds:
-        values = autologistic.simulate((-0.5, 1.5), r, random.Random(seed))
+        values = oracles.simulate((-0.5, 1.5), r, random.Random(seed))
         density = sum(values) / r
         if not 0.2 <= density <= 0.8:
             continue

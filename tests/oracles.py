@@ -7,11 +7,15 @@ finite differences instead of the analytic score, a linear program
 instead of the solver's separation checks.  Agreement between the
 two routes is then evidence rather than tautology.  Version order has
 its own reference too: a component-by-component parse, key and canonical
-form over a separate copy of the grammar.
+form over a separate copy of the grammar.  A few helpers only expose
+what the package computes (a mask's marks, its log-likelihood and
+gradient) for the oracles to check, and ``simulate`` draws the series
+that the tests and the fixture generator fit.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -21,6 +25,7 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy import optimize
 
+from vulnseries.autologistic import LagDesign, _gradient, _loglik, _sigmoid
 from vulnseries.registry import ReleaseHistory, order_history
 from vulnseries.safetydb import Advisory, Constraint, SpecClause
 from vulnseries.versions import Version, compare
@@ -39,6 +44,11 @@ def satisfies(op: str, version: Version, boundary: Version) -> bool:
         "==": c == 0,
         "!=": c != 0,
     }[op]
+
+
+def bits(mask: int, r: int) -> tuple[int, ...]:
+    """Expand one of the package's masks into its 0/1 marks over releases 0 .. r-1."""
+    return tuple((mask >> i) & 1 for i in range(r))
 
 
 def direct_clause_vector(clause: SpecClause, history: ReleaseHistory) -> tuple[int, ...]:
@@ -325,6 +335,54 @@ def reference_canonical_string(v: ReferenceVersion) -> str:
 def reference_compare(a: ReferenceVersion, b: ReferenceVersion) -> int:
     ka, kb = reference_sort_key(a), reference_sort_key(b)
     return (ka > kb) - (ka < kb)
+
+
+# --- the package's own objective, and a generator --------------------
+
+
+def log_likelihood(design: LagDesign, beta: Sequence[float]) -> float:
+    """The package's Bernoulli log-likelihood of the coefficients on the design."""
+    return _loglik(design.y, design.X @ np.asarray(beta, dtype=float))
+
+
+def score(design: LagDesign, beta: Sequence[float]) -> tuple[float, ...]:
+    """The package's analytic gradient of the log-likelihood at ``beta``."""
+    eta = design.X @ np.asarray(beta, dtype=float)
+    return tuple(_gradient(design.X, design.y, _sigmoid(eta)))
+
+
+def _logistic(eta: float) -> float:
+    if eta >= 0:
+        return 1.0 / (1.0 + math.exp(-eta))
+    expeta = math.exp(eta)
+    return expeta / (1.0 + expeta)
+
+
+def simulate(
+    beta: Sequence[float],
+    n: int,
+    rng: random.Random,
+    initial: Sequence[int] | None = None,
+) -> list[int]:
+    """Draw a series of length n from the autologistic generative model.
+
+    ``beta[0]`` is the constant; ``beta[k]`` weights the value k steps
+    back.  ``initial`` seeds the pre-series history (oldest first, the
+    last element immediately precedes the series); it defaults to zeros.
+    """
+    order = len(beta) - 1
+    if initial is not None and len(initial) != order:
+        raise ValueError(f"expected {order} initial values, got {len(initial)}")
+    past = list(initial) if initial is not None else [0] * order
+    values: list[int] = []
+    for _ in range(n):
+        eta = beta[0]
+        for k in range(1, order + 1):
+            eta += beta[k] * past[-k]
+        draw = 1 if rng.random() < _logistic(eta) else 0
+        values.append(draw)
+        past.append(draw)
+    return values
 
 
 # --- independent numerics ----------------------------------------------

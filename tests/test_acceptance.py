@@ -20,18 +20,22 @@ from pathlib import Path
 import pytest
 
 from oracles import (
+    bits,
     direct_advisory_vector,
     direct_clause_vector,
     direct_counts,
     fd_gradient,
+    log_likelihood,
     random_advisory,
     random_history,
     random_version_text,
+    score,
+    simulate,
 )
 from vulnseries import autologistic, cli, markov, vectorize
 from vulnseries.registry import order_history
 from vulnseries.safetydb import Constraint, SpecClause
-from vulnseries.vectorize import BinarySeries, bits
+from vulnseries.vectorize import BinarySeries
 from vulnseries.versions import compare, parse_version
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -152,7 +156,7 @@ def test_criterion_4_gradients_and_recovery():
     rng = random.Random(4)
     fits = 0
     for _ in range(25):
-        values = autologistic.simulate(
+        values = simulate(
             (-0.6, 1.4), rng.randint(60, 160), random.Random(rng.randint(0, 10**6))
         )
         w = BinarySeries("sim", tuple(values))
@@ -164,18 +168,18 @@ def test_criterion_4_gradients_and_recovery():
             continue
         if not model.converged:
             continue
-        analytic = autologistic.score(design, model.beta)
+        analytic = score(design, model.beta)
         assert max(abs(g) for g in analytic) < 1e-6
         numeric = fd_gradient(
-            lambda b: autologistic.log_likelihood(design, b), model.beta
+            lambda b: log_likelihood(design, b), model.beta
         )
         for a, f in zip(analytic, numeric):
             assert abs(a - f) <= 1e-4 * max(1.0, abs(a), abs(f))
         # Also compare at a displaced point where the gradient is not ~0.
         shifted = tuple(b + 0.3 for b in model.beta)
-        analytic_s = autologistic.score(design, shifted)
+        analytic_s = score(design, shifted)
         numeric_s = fd_gradient(
-            lambda b: autologistic.log_likelihood(design, b), shifted
+            lambda b: log_likelihood(design, b), shifted
         )
         for a, f in zip(analytic_s, numeric_s):
             assert abs(a - f) <= 1e-4 * max(1.0, abs(a), abs(f))
@@ -183,7 +187,7 @@ def test_criterion_4_gradients_and_recovery():
     assert fits >= 15
 
     start = time.perf_counter()
-    values = autologistic.simulate((-1.0, 2.0), 100_000, random.Random(20260819))
+    values = simulate((-1.0, 2.0), 100_000, random.Random(20260819))
     model = autologistic.fit(
         autologistic.build_lag_design(BinarySeries("big", tuple(values)), 1)
     )
@@ -205,7 +209,7 @@ def test_criterion_5_order_selection_prefers_the_generating_order():
     start = time.perf_counter()
     hits = 0
     for seed in range(100):
-        values = autologistic.simulate((-0.5, 1.5), 200, random.Random(seed))
+        values = simulate((-0.5, 1.5), 200, random.Random(seed))
         selection = autologistic.select_order(BinarySeries("sim", tuple(values)))
         hits += selection.order == 1
     elapsed = time.perf_counter() - start
@@ -254,7 +258,7 @@ def test_criterion_7_snapshot_dependence_and_synthetic_advantage():
     suite = [
         BinarySeries(
             f"sim{seed:03d}",
-            tuple(autologistic.simulate((-1.5, 3.0), 60, random.Random(seed))),
+            tuple(simulate((-1.5, 3.0), 60, random.Random(seed))),
         )
         for seed in range(40)
     ]

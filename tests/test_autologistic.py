@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import log_likelihood, score, simulate
 from vulnseries import autologistic
 from vulnseries.autologistic import (
     LagDesign,
@@ -20,13 +21,10 @@ from vulnseries.autologistic import (
     experiment_summary,
     fit,
     forecast,
-    log_likelihood,
     max_order,
     naive_baseline,
     run_experiment,
-    score,
     select_order,
-    simulate,
     threshold_accuracy,
 )
 from vulnseries.errors import (

@@ -1,5 +1,6 @@
 """Release-history client: ordering, caching, retries, and snapshots."""
 
+import contextlib
 import dataclasses
 import io
 import json
@@ -41,6 +42,26 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def payload(releases: dict) -> bytes:
     return json.dumps({"info": {}, "releases": releases}).encode("utf-8")
+
+
+def write_cache(directory: Path, records: dict) -> None:
+    """Write a payload cache file holding ``records``, normalized name to body."""
+    (directory / "payloads").write_bytes(
+        b"".join(b"%s\n%s" % (json.dumps([n, len(b)]).encode(), b) for n, b in records.items())
+    )
+
+
+def cached(directory: Path) -> list:
+    """The (name, body) records of the payload cache file in ``directory``, in file order."""
+    data = (directory / "payloads").read_bytes()
+    records, start = [], 0
+    while start < len(data):
+        newline = data.index(b"\n", start)
+        name, size = json.loads(data[start:newline])
+        records.append((name, data[newline + 1 : newline + 1 + size]))
+        start = newline + 1 + size
+    assert start == len(data)
+    return records
 
 
 def make_transport(responses):
@@ -196,7 +217,7 @@ def test_cache_serves_second_fetch_without_transport(tmp_path):
     first, _, _ = client.fetch_many(["pkg"])
     second, _, failures = client.fetch_many(["pkg"])
     assert len(transport.calls) == 1
-    assert (tmp_path / "pkg.json").is_file()
+    assert cached(tmp_path) == [("pkg", payload({"1.0": []}))]
     assert second["pkg"] == first["pkg"] and not failures
 
 
@@ -226,7 +247,7 @@ def test_bad_payload_is_not_cached(tmp_path):
     _, _, [failure] = bad.fetch_many(["flask"])
     assert failure.reason == "bad-payload"
     assert failure.detail.startswith("payload for 'flask' is not JSON: ")
-    assert not (tmp_path / "flask.json").exists()
+    assert cached(tmp_path) == []
     good = PyPIClient(
         transport=make_transport([(200, payload({"1.0": []}))]), cache_dir=tmp_path
     )
@@ -235,7 +256,7 @@ def test_bad_payload_is_not_cached(tmp_path):
 
 
 def test_unparsable_cache_entry_is_refetched_online_only(tmp_path):
-    (tmp_path / "flask.json").write_bytes(b"<html>")
+    write_cache(tmp_path, {"flask": b"<html>"})
 
     def explode(url):
         raise AssertionError("offline client must not touch the network")
@@ -249,14 +270,15 @@ def test_unparsable_cache_entry_is_refetched_online_only(tmp_path):
     histories, _, failures = online.fetch_many(["flask"])
     assert len(histories["flask"]) == 1 and not failures
     assert len(transport.calls) == 1
-    assert json.loads((tmp_path / "flask.json").read_bytes())["releases"] == {"1.0": []}
+    [(name, body)] = cached(tmp_path)
+    assert name == "flask" and json.loads(body)["releases"] == {"1.0": []}
 
 
 def test_cache_dir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("VULNSERIES_CACHE", str(tmp_path))
     client = PyPIClient(transport=make_transport([(200, payload({"1.0": []}))]))
     client.fetch_many(["pkg"])
-    assert (tmp_path / "pkg.json").is_file()
+    assert [name for name, _ in cached(tmp_path)] == ["pkg"]
 
 
 def test_fetch_many_collects_failures_without_aborting(tmp_path):
@@ -349,8 +371,7 @@ def test_fetch_many_has_several_downloads_in_flight():
 
 
 def test_offline_fetch_many_starts_no_thread(tmp_path, monkeypatch):
-    (tmp_path / "good.json").write_bytes(payload({"1.0": []}))
-    (tmp_path / "bad.json").write_bytes(b"<html>")
+    write_cache(tmp_path, {"good": payload({"1.0": []}), "bad": b"<html>"})
 
     def refuse(*args, **kwargs):
         raise AssertionError("an offline batch submitted a task")
@@ -383,7 +404,7 @@ def test_every_parse_runs_on_the_calling_thread(tmp_path, monkeypatch):
 
     PyPIClient(transport=transport, cache_dir=tmp_path).fetch_many(["a", "c", "e"])
     # A cached releases map whose version key does not parse is downloaded again.
-    (tmp_path / "c.json").write_bytes(payload({"": []}))
+    write_cache(tmp_path, {**dict(cached(tmp_path)), "c": payload({"": []})})
     parses = []
 
     def recording_parse(text):
@@ -430,9 +451,21 @@ def test_fetch_many_reports_in_package_order_when_the_first_download_ends_last(f
     assert list(histories) == [n for n in "abcd" if plan[n] == "duplicate"]
 
 
-def test_a_failing_cache_write_cancels_the_downloads_not_started(tmp_path):
+def test_an_unwritable_cache_fails_before_any_request(tmp_path):
     cache = tmp_path / "cache"
     cache.write_text("a regular file, so no cache file can be created under it")
+    transport = make_transport([])
+    client = PyPIClient(transport=transport, cache_dir=cache, workers=2)
+    with pytest.raises(OSError):
+        client.fetch_many(["a", "b"])
+    assert transport.calls == []
+
+
+def test_a_failing_cache_write_cancels_the_downloads_not_started(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    write_cache(cache, {"old": payload({"0.1": []})})
+    before = (cache / "payloads").read_bytes()
     calls = []
 
     def transport(url):
@@ -440,10 +473,191 @@ def test_a_failing_cache_write_cancels_the_downloads_not_started(tmp_path):
         time.sleep(0.01)
         return 200, payload({"1.0": []})
 
+    class SecondRecordFails:
+        def __init__(self, handle):
+            self.handle, self.writes = handle, 0
+
+        def write(self, data):
+            self.writes += 1  # a record is a header write and a body write
+            if self.writes > 2:
+                raise OSError("disk full")
+            return self.handle.write(data)
+
+    opened = registry._atomic_file
+
+    @contextlib.contextmanager
+    def failing_append(path, mode, encoding=None):
+        with opened(path, mode, encoding) as handle:
+            yield SecondRecordFails(handle)
+
+    monkeypatch.setattr(registry, "_atomic_file", failing_append)
     client = PyPIClient(transport=transport, cache_dir=cache, workers=2)
-    with pytest.raises(OSError):
+    with pytest.raises(OSError, match="disk full"):
         client.fetch_many([f"pkg{i:03d}" for i in range(200)])
-    assert len(calls) < 20
+    assert 0 < len(calls) < 20
+    assert (cache / "payloads").read_bytes() == before
+    assert [p.name for p in cache.iterdir()] == ["payloads"]
+
+
+def test_a_cold_run_leaves_one_cache_file(tmp_path):
+    bodies = {name: payload({"1.0": [], f"1.{i}": []}) for i, name in enumerate(["b", "a", "c"])}
+
+    def transport(url):
+        return 200, bodies[url.split("/")[-2]]
+
+    client = PyPIClient(transport=transport, cache_dir=tmp_path, workers=2)
+    histories, _, failures = client.fetch_many(list(bodies))
+    assert set(histories) == set(bodies) and not failures
+    assert [p.name for p in tmp_path.iterdir()] == ["payloads"]
+    assert cached(tmp_path) == list(bodies.items())
+
+
+def test_runs_that_download_nothing_leave_the_cache_file_untouched(tmp_path, monkeypatch):
+    bodies = {"good": payload({"1.0": []}), "bad": payload({"": []})}
+
+    def transport(url):
+        return 200, bodies[url.split("/")[-2]]
+
+    PyPIClient(transport=transport, cache_dir=tmp_path).fetch_many(["good", "bad"])
+    path = tmp_path / "payloads"
+    before = path.read_bytes(), path.stat().st_ino, path.stat().st_mtime_ns
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cache file was opened for writing")
+
+    monkeypatch.setattr(registry, "_atomic_file", refuse)
+    offline = PyPIClient(transport=transport, cache_dir=tmp_path, offline=True)
+    for names in (["good"], ["good", "bad", "missing"]):
+        offline.fetch_many(names)
+    histories, _, failures = PyPIClient(transport=refuse, cache_dir=tmp_path).fetch_many(["good"])
+    assert set(histories) == {"good"} and not failures
+    assert (path.read_bytes(), path.stat().st_ino, path.stat().st_mtime_ns) == before
+
+
+def test_a_run_that_raises_keeps_the_previous_cache_file(tmp_path):
+    write_cache(tmp_path, {"old": payload({"0.1": []})})
+    before = (tmp_path / "payloads").read_bytes()
+
+    def transport(url):
+        if "/broken/" in url:
+            raise RuntimeError("transport bug")
+        return 200, payload({"1.0": []})
+
+    client = PyPIClient(transport=transport, cache_dir=tmp_path, workers=2)
+    with pytest.raises(RuntimeError, match="transport bug"):
+        client.fetch_many(["a", "broken", "c"])
+    assert (tmp_path / "payloads").read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["payloads"]
+
+
+def _valid_cache() -> bytes:
+    return b'["a", 2]\n{}["b", 3]\n[1]'
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _valid_cache()[:-1],  # a truncated body
+        _valid_cache()[:12],  # a truncated header
+        _valid_cache() + b'["c", 0]',  # a header without its line end
+        _valid_cache().replace(b'["b", 3]', b"not json"),
+        _valid_cache().replace(b'["b", 3]', b'["b", -3]'),
+        b'["a",-11] \n',  # a size that leads back to its own header
+        _valid_cache().replace(b'["b", 3]', b'["b", 3.0]'),
+        _valid_cache().replace(b'["b", 3]', b'["b", true]'),
+        _valid_cache().replace(b'["b", 3]', b'[7, 3]'),
+        _valid_cache().replace(b'["b", 3]', b'["b"]'),
+        _valid_cache().replace(b'["b", 3]', b"3"),
+        b"\xff\n",
+    ],
+)
+def test_a_truncated_or_garbled_cache_file_is_ignored_as_a_whole(tmp_path, data):
+    (tmp_path / "payloads").write_bytes(data)
+    offline = PyPIClient(cache_dir=tmp_path, offline=True)
+    histories, _, failures = offline.fetch_many(["a", "b"])
+    assert not histories
+    assert [(f.package, f.reason) for f in failures] == [("a", "offline-miss"), ("b", "offline-miss")]
+    transport = make_transport([(200, payload({"1.0": []})), (200, payload({"2.0": []}))])
+    histories, _, failures = PyPIClient(transport=transport, cache_dir=tmp_path).fetch_many(
+        ["a", "b"]
+    )
+    assert set(histories) == {"a", "b"} and not failures
+    assert len(transport.calls) == 2
+    assert cached(tmp_path) == [("a", payload({"1.0": []})), ("b", payload({"2.0": []}))]
+
+
+def test_the_valid_cache_file_of_the_garbling_test_is_read(tmp_path):
+    (tmp_path / "payloads").write_bytes(_valid_cache())
+    offline = PyPIClient(cache_dir=tmp_path, offline=True)
+    histories, _, failures = offline.fetch_many(["a", "b"])
+    assert not histories
+    assert [(f.package, f.reason, f.detail) for f in failures] == [
+        ("a", "bad-payload", "payload for 'a' has no releases map"),
+        ("b", "bad-payload", "payload for 'b' has no releases map"),
+    ]
+
+
+def test_cache_files_of_earlier_versions_are_ignored(tmp_path):
+    (tmp_path / "pkg.json").write_bytes(payload({"1.0": []}))
+    offline = PyPIClient(cache_dir=tmp_path, offline=True)
+    _, _, [failure] = offline.fetch_many(["pkg"])
+    assert failure.reason == "offline-miss"
+    transport = make_transport([(200, payload({"1.0": []}))])
+    histories, _, failures = PyPIClient(transport=transport, cache_dir=tmp_path).fetch_many(["pkg"])
+    assert len(histories["pkg"]) == 1 and not failures
+    assert len(transport.calls) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["payloads", "pkg.json"]
+
+
+def test_a_rewrite_keeps_the_records_it_did_not_replace(tmp_path):
+    write_cache(tmp_path, {"kept": payload({"0.1": []}), "stale": payload({"": []})})
+    transport = make_transport([(200, payload({"1.0": []})), (200, payload({"2.0": []}))])
+    client = PyPIClient(transport=transport, cache_dir=tmp_path)
+    histories, _, failures = client.fetch_many(["new", "stale"])
+    assert set(histories) == {"new", "stale"} and not failures
+    assert cached(tmp_path) == [
+        ("new", payload({"1.0": []})),
+        ("stale", payload({"2.0": []})),
+        ("kept", payload({"0.1": []})),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.text(min_size=1).filter(lambda n: "/" not in n), min_size=1, max_size=5))
+def test_every_name_round_trips_through_the_cache(names):
+    # Names that normalize alike ("A_b", "a-B") share one record; a name
+    # repeated in the batch is written once.
+    bodies = {name: payload({"1.0": [], f"{i + 1}.0": []}) for i, name in enumerate(names)}
+
+    def transport(url):
+        return 200, bodies[url[len("https://pypi.org/pypi/") : -len("/json")]]
+
+    first = {}  # normalized name: the first spelling in the batch and its body
+    for name in names:
+        first.setdefault(normalize_name(name), (name, bodies[name]))
+    with tempfile.TemporaryDirectory() as tmp:
+        online = PyPIClient(transport=transport, cache_dir=tmp, workers=2)
+        fetched, _, failures = online.fetch_many(names)
+        assert not failures
+        assert cached(Path(tmp)) == [(key, body) for key, (_, body) in first.items()]
+        served, _, failures = PyPIClient(cache_dir=tmp, offline=True).fetch_many(names)
+        assert not failures
+    for name in names:
+        assert served[name].releases == fetched[first[normalize_name(name)][0]].releases
+
+
+@pytest.mark.parametrize(
+    "names",
+    [["pkg", "pkg"], ["Foo_Bar", "foo-bar", "FOO.BAR"], ["with space", "new\nline", "caf\u00e9"]],
+)
+def test_names_round_trip_and_share_their_normalized_record(tmp_path, names):
+    transport = make_transport([(200, payload({"1.0": []})) for _ in names])
+    online = PyPIClient(transport=transport, cache_dir=tmp_path)
+    fetched, _, failures = online.fetch_many(names)
+    assert not failures and len(transport.calls) == len(names)
+    assert [name for name, _ in cached(tmp_path)] == list(dict.fromkeys(map(normalize_name, names)))
+    served, _, failures = PyPIClient(cache_dir=tmp_path, offline=True).fetch_many(names)
+    assert not failures and served == fetched
 
 
 def _fields(version):
@@ -587,7 +801,7 @@ def test_snapshot_and_cache_files_get_the_mode_open_gives(tmp_path):
         histories, _, failures = client.fetch_many(["pkg"])
         assert set(histories) == {"pkg"} and not failures
         assert mode(directory / "snap.json") == mode(plain)
-        assert mode(directory / "pkg.json") == mode(plain)
+        assert mode(directory / "payloads") == mode(plain)
         return mode(plain)
 
     check(tmp_path / "inherited")

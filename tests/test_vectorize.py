@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import bits
 from vulnseries.errors import ClauseInvalidError
 from vulnseries.registry import order_history
 from vulnseries.safetydb import Constraint, SpecClause, load_database, parse_spec
 from vulnseries.versions import parse_version
 from vulnseries.vectorize import (
     aggregate,
-    bits,
     build_corpus,
     corpus_rows,
     fill_clause,
