@@ -7,9 +7,12 @@ version precedence first and timestamp second, so a backfilled old
 version does not scramble the series.
 
 Network access goes through an injectable ``transport`` callable so
-tests never touch the real index.  Responses are cached in one file
-per cache directory, which only a run that downloads something rewrites,
-whole and atomically; ``offline=True`` serves from cache only.  A *snapshot*
+tests never touch the real index.  Of each response the cache keeps only
+what a history is built from, every version string with its earliest
+upload time, in one file per cache directory, which only a run that
+downloads something rewrites, whole and atomically; the cache files of
+earlier versions are ignored, so such a directory is cold once.
+``offline=True`` serves from cache only.  A *snapshot*
 bundles many ordered histories into one schema-versioned JSON document
 so downstream stages are reproducible without any network at all.
 """
@@ -142,14 +145,11 @@ def _default_transport(url: str) -> tuple[int, bytes]:
     return response.status_code, response.content
 
 
-def _releases_map(package: str, body: bytes) -> dict:
+def _decoded(package: str, body: bytes) -> object:
     try:
-        doc = json.loads(body)
+        return json.loads(body)
     except ValueError as exc:  # JSONDecodeError, or bytes that are not text
         raise PayloadFormatError(f"payload for {package!r} is not JSON: {exc}") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("releases"), dict):
-        raise PayloadFormatError(f"payload for {package!r} has no releases map")
-    return doc["releases"]
 
 
 def _earliest_upload(files: object) -> str | None:
@@ -164,12 +164,34 @@ def _earliest_upload(files: object) -> str | None:
     return min(times) if times else None
 
 
-def _history(package: str, releases: dict, parse: Callable[[str], Version]) -> _History:
-    entries = [(raw, _earliest_upload(files)) for raw, files in releases.items()]
-    if not entries:
+def _upload_times(package: str, body: bytes) -> dict[str, str | None]:
+    """A downloaded payload's releases map, each version's file list reduced to its
+    earliest upload time, in the payload's order."""
+    doc = _decoded(package, body)
+    if not isinstance(doc, dict) or not isinstance(doc.get("releases"), dict):
+        raise PayloadFormatError(f"payload for {package!r} has no releases map")
+    return {raw: _earliest_upload(files) for raw, files in doc["releases"].items()}
+
+
+# The types an upload time of a cached record may have.
+_STAMP_TYPES = {str, type(None)}
+
+
+def _cached_upload_times(package: str, body: bytes) -> dict[str, str | None]:
+    """The map of version to upload time that a cache record's ``body`` holds."""
+    times = _decoded(package, body)
+    if not isinstance(times, dict) or not set(map(type, times.values())) <= _STAMP_TYPES:
+        raise PayloadFormatError(f"cached payload for {package!r} is not a map of upload times")
+    return times
+
+
+def _history(
+    package: str, times: Mapping[str, str | None], parse: Callable[[str], Version]
+) -> _History:
+    if not times:
         raise PackageNotFoundError(f"package {package!r} has no published releases")
     try:
-        return order_history(package, entries, parse=parse)
+        return order_history(package, times.items(), parse=parse)
     except VersionParseError as exc:
         raise PayloadFormatError(str(exc)) from exc
 
@@ -178,7 +200,7 @@ def _history(package: str, releases: dict, parse: Callable[[str], Version]) -> _
 def _atomic_file(path: Path, mode: str, encoding: str | None = None) -> Iterator[IO]:
     """Open a temporary file beside ``path``; rename it over ``path`` when the block ends.
 
-    A snapshot or the payload cache streams into it without a second copy
+    A snapshot or the release cache streams into it without a second copy
     in memory; on any error the temporary file is removed and ``path`` is
     left as it was.
     ``open`` creates it (exclusively), so its mode follows the current umask.
@@ -196,8 +218,11 @@ def _atomic_file(path: Path, mode: str, encoding: str | None = None) -> Iterator
 
 
 def _cache_records(data: bytes) -> dict[str, tuple[int, int, int]]:
-    """Where each record of a payload cache starts, where its body starts and where it
-    ends, by normalized name; a cache truncated or garbled anywhere has no records."""
+    """Where each record of a release cache starts, where its body starts and where it
+    ends, by normalized name; a cache truncated or garbled anywhere has no records.
+
+    A body is a JSON object of version string to upload time or null; only
+    :func:`_cached_upload_times` looks inside it."""
     records = {}
     start = 0
     try:
@@ -238,11 +263,13 @@ class PyPIClient:
     def _cached(
         self, package: str, body: bytes | None, parse: Callable[[str], Version]
     ) -> _History | None:
-        """The history of a cached ``body``, or ``None`` online when it is missing or bad;
-        offline, those are an :class:`OfflineCacheMissError` and a :class:`PayloadFormatError`."""
+        """The history of a cached record ``body``, or ``None`` online when it is missing or
+        bad; offline, those are an :class:`OfflineCacheMissError` and a
+        :class:`PayloadFormatError`.  A body is bad when it is not a JSON object of
+        strings or nulls, or when a version key does not parse."""
         if body is not None:
             try:
-                return _history(package, _releases_map(package, body), parse)
+                return _history(package, _cached_upload_times(package, body), parse)
             except PayloadFormatError:
                 if self.offline:
                     raise
@@ -278,22 +305,25 @@ class PyPIClient:
     ) -> tuple[dict[str, ReleaseHistory], tuple[str, ...], tuple[AttritionRecord, ...]]:
         """Fetch several packages, downloading up to ``workers`` at once.
 
-        The cache is one file, ``payloads`` in the cache directory, of records:
-        a JSON line ``[normalized name, byte count]``, then the body as
-        downloaded.  It is read once.  A truncated or garbled file is ignored
-        as a whole, and so are earlier versions' ``<name>.json`` files, so
-        such a directory is cold once.  Worker threads only run
-        :meth:`_download`; offline, none is started.  The calling thread
-        checks each payload and parses and orders every history, in package
-        order, through one memo of :func:`parse_version` that ends with the
-        call.  A payload that cannot be interpreted, including a releases map
-        with a version key that does not parse, is a ``bad-payload``; online,
-        a cached one is downloaded again.
+        The cache is one file, ``releases`` in the cache directory, of records:
+        a JSON line ``[normalized name, byte count]``, then the body, the
+        payload's releases map with each file list reduced to its earliest
+        upload time: a JSON object of version string to time or null, in the
+        payload's order.  It is read once.  A truncated or garbled file is
+        ignored as a whole, and so are the ``payloads`` and ``<name>.json``
+        files of earlier versions, so such a directory is cold once.  Worker
+        threads only run :meth:`_download`; offline, none is started.  The
+        calling thread checks each payload and parses and orders every
+        history, in package order, through one memo of :func:`parse_version`
+        that ends with the call; a file list is reduced only when it is
+        downloaded.  A payload or record that cannot be interpreted, including
+        one with a version key that does not parse, is a ``bad-payload``;
+        online, a cached one is downloaded again.
 
         Only a run that downloads something rewrites the cache.  It opens the
         replacement before the first request, appends each downloaded releases
-        map, copies the records it did not replace and renames the file over
-        the old one at the end.  A run that raises or is interrupted keeps the
+        map as a record, copies the records it did not replace and renames the
+        file over the old one at the end.  A run that raises or is interrupted keeps the
         previous file and caches nothing.  Of two processes sharing a cache
         directory, the last to rename wins, and nothing is corrupted.
 
@@ -307,7 +337,7 @@ class PyPIClient:
         warnings: list[str] = []
         failures: list[AttritionRecord] = []
         parse = functools.lru_cache(maxsize=None)(parse_version)
-        path = self.cache_dir / "payloads" if self.cache_dir is not None else None
+        path = self.cache_dir / "releases" if self.cache_dir is not None else None
         data = path.read_bytes() if path is not None and path.is_file() else b""
         records = _cache_records(data)
         written: set[str] = set()  # the normalized names this run caches
@@ -332,14 +362,14 @@ class PyPIClient:
                     outcome = outcomes.popleft()  # frees a downloaded body once ordered
                     if isinstance(outcome, Future):
                         try:
-                            body = outcome.result()
-                            releases = _releases_map(package, body)
+                            times = _upload_times(package, outcome.result())
                             name = normalize_name(package)
                             if cache is not None and name not in written:
                                 written.add(name)
-                                cache.write(b"%s\n" % json.dumps([name, len(body)]).encode())
-                                cache.write(body)
-                            outcome = _history(package, releases, parse)
+                                record = json.dumps(times).encode()
+                                cache.write(b"%s\n" % json.dumps([name, len(record)]).encode())
+                                cache.write(record)
+                            outcome = _history(package, times, parse)
                         except RegistryError as exc:
                             outcome = exc
                     if isinstance(outcome, RegistryError):

@@ -38,27 +38,36 @@ from vulnseries.safetydb import Constraint, SpecClause, load_database_path
 from vulnseries.versions import Version, parse_version
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# The cache file's name in a cache directory.
+CACHE_FILE = "releases"
 
 
 def payload(releases: dict) -> bytes:
     return json.dumps({"info": {}, "releases": releases}).encode("utf-8")
 
 
+def record(times: dict) -> bytes:
+    """The cache record body of a map of version string to upload time or None."""
+    return json.dumps(times).encode()
+
+
 def write_cache(directory: Path, records: dict) -> None:
-    """Write a payload cache file holding ``records``, normalized name to body."""
-    (directory / "payloads").write_bytes(
+    """Write a cache file holding ``records``, normalized name to body."""
+    (directory / CACHE_FILE).write_bytes(
         b"".join(b"%s\n%s" % (json.dumps([n, len(b)]).encode(), b) for n, b in records.items())
     )
 
 
 def cached(directory: Path) -> list:
-    """The (name, body) records of the payload cache file in ``directory``, in file order."""
-    data = (directory / "payloads").read_bytes()
+    """The (name, body) records of the cache file in ``directory``, in file order."""
+    data = (directory / CACHE_FILE).read_bytes()
     records, start = [], 0
     while start < len(data):
         newline = data.index(b"\n", start)
         name, size = json.loads(data[start:newline])
+        assert size >= 0
         records.append((name, data[newline + 1 : newline + 1 + size]))
+        assert newline + 1 + size > start
         start = newline + 1 + size
     assert start == len(data)
     return records
@@ -217,7 +226,7 @@ def test_cache_serves_second_fetch_without_transport(tmp_path):
     first, _, _ = client.fetch_many(["pkg"])
     second, _, failures = client.fetch_many(["pkg"])
     assert len(transport.calls) == 1
-    assert cached(tmp_path) == [("pkg", payload({"1.0": []}))]
+    assert cached(tmp_path) == [("pkg", record({"1.0": None}))]
     assert second["pkg"] == first["pkg"] and not failures
 
 
@@ -270,8 +279,7 @@ def test_unparsable_cache_entry_is_refetched_online_only(tmp_path):
     histories, _, failures = online.fetch_many(["flask"])
     assert len(histories["flask"]) == 1 and not failures
     assert len(transport.calls) == 1
-    [(name, body)] = cached(tmp_path)
-    assert name == "flask" and json.loads(body)["releases"] == {"1.0": []}
+    assert cached(tmp_path) == [("flask", record({"1.0": None}))]
 
 
 def test_cache_dir_from_environment(tmp_path, monkeypatch):
@@ -371,7 +379,7 @@ def test_fetch_many_has_several_downloads_in_flight():
 
 
 def test_offline_fetch_many_starts_no_thread(tmp_path, monkeypatch):
-    write_cache(tmp_path, {"good": payload({"1.0": []}), "bad": b"<html>"})
+    write_cache(tmp_path, {"good": record({"1.0": None}), "bad": b"<html>"})
 
     def refuse(*args, **kwargs):
         raise AssertionError("an offline batch submitted a task")
@@ -403,8 +411,8 @@ def test_every_parse_runs_on_the_calling_thread(tmp_path, monkeypatch):
         return 200, bodies[url.split("/")[-2]]
 
     PyPIClient(transport=transport, cache_dir=tmp_path).fetch_many(["a", "c", "e"])
-    # A cached releases map whose version key does not parse is downloaded again.
-    write_cache(tmp_path, {**dict(cached(tmp_path)), "c": payload({"": []})})
+    # A cached record whose version key does not parse is downloaded again.
+    write_cache(tmp_path, {**dict(cached(tmp_path)), "c": record({"": None})})
     parses = []
 
     def recording_parse(text):
@@ -464,8 +472,8 @@ def test_an_unwritable_cache_fails_before_any_request(tmp_path):
 def test_a_failing_cache_write_cancels_the_downloads_not_started(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     cache.mkdir()
-    write_cache(cache, {"old": payload({"0.1": []})})
-    before = (cache / "payloads").read_bytes()
+    write_cache(cache, {"old": record({"0.1": None})})
+    before = (cache / CACHE_FILE).read_bytes()
     calls = []
 
     def transport(url):
@@ -495,12 +503,13 @@ def test_a_failing_cache_write_cancels_the_downloads_not_started(tmp_path, monke
     with pytest.raises(OSError, match="disk full"):
         client.fetch_many([f"pkg{i:03d}" for i in range(200)])
     assert 0 < len(calls) < 20
-    assert (cache / "payloads").read_bytes() == before
-    assert [p.name for p in cache.iterdir()] == ["payloads"]
+    assert (cache / CACHE_FILE).read_bytes() == before
+    assert [p.name for p in cache.iterdir()] == [CACHE_FILE]
 
 
 def test_a_cold_run_leaves_one_cache_file(tmp_path):
-    bodies = {name: payload({"1.0": [], f"1.{i}": []}) for i, name in enumerate(["b", "a", "c"])}
+    names = ["b", "a", "c"]
+    bodies = {name: payload({"1.0": [], f"1.{i}": []}) for i, name in enumerate(names)}
 
     def transport(url):
         return 200, bodies[url.split("/")[-2]]
@@ -508,8 +517,10 @@ def test_a_cold_run_leaves_one_cache_file(tmp_path):
     client = PyPIClient(transport=transport, cache_dir=tmp_path, workers=2)
     histories, _, failures = client.fetch_many(list(bodies))
     assert set(histories) == set(bodies) and not failures
-    assert [p.name for p in tmp_path.iterdir()] == ["payloads"]
-    assert cached(tmp_path) == list(bodies.items())
+    assert [p.name for p in tmp_path.iterdir()] == [CACHE_FILE]
+    assert cached(tmp_path) == [
+        (name, record({"1.0": None, f"1.{i}": None})) for i, name in enumerate(names)
+    ]
 
 
 def test_runs_that_download_nothing_leave_the_cache_file_untouched(tmp_path, monkeypatch):
@@ -519,7 +530,7 @@ def test_runs_that_download_nothing_leave_the_cache_file_untouched(tmp_path, mon
         return 200, bodies[url.split("/")[-2]]
 
     PyPIClient(transport=transport, cache_dir=tmp_path).fetch_many(["good", "bad"])
-    path = tmp_path / "payloads"
+    path = tmp_path / CACHE_FILE
     before = path.read_bytes(), path.stat().st_ino, path.stat().st_mtime_ns
 
     def refuse(*args, **kwargs):
@@ -535,8 +546,8 @@ def test_runs_that_download_nothing_leave_the_cache_file_untouched(tmp_path, mon
 
 
 def test_a_run_that_raises_keeps_the_previous_cache_file(tmp_path):
-    write_cache(tmp_path, {"old": payload({"0.1": []})})
-    before = (tmp_path / "payloads").read_bytes()
+    write_cache(tmp_path, {"old": record({"0.1": None})})
+    before = (tmp_path / CACHE_FILE).read_bytes()
 
     def transport(url):
         if "/broken/" in url:
@@ -546,8 +557,8 @@ def test_a_run_that_raises_keeps_the_previous_cache_file(tmp_path):
     client = PyPIClient(transport=transport, cache_dir=tmp_path, workers=2)
     with pytest.raises(RuntimeError, match="transport bug"):
         client.fetch_many(["a", "broken", "c"])
-    assert (tmp_path / "payloads").read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["payloads"]
+    assert (tmp_path / CACHE_FILE).read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [CACHE_FILE]
 
 
 def _valid_cache() -> bytes:
@@ -572,7 +583,7 @@ def _valid_cache() -> bytes:
     ],
 )
 def test_a_truncated_or_garbled_cache_file_is_ignored_as_a_whole(tmp_path, data):
-    (tmp_path / "payloads").write_bytes(data)
+    (tmp_path / CACHE_FILE).write_bytes(data)
     offline = PyPIClient(cache_dir=tmp_path, offline=True)
     histories, _, failures = offline.fetch_many(["a", "b"])
     assert not histories
@@ -583,22 +594,48 @@ def test_a_truncated_or_garbled_cache_file_is_ignored_as_a_whole(tmp_path, data)
     )
     assert set(histories) == {"a", "b"} and not failures
     assert len(transport.calls) == 2
-    assert cached(tmp_path) == [("a", payload({"1.0": []})), ("b", payload({"2.0": []}))]
+    assert cached(tmp_path) == [("a", record({"1.0": None})), ("b", record({"2.0": None}))]
 
 
 def test_the_valid_cache_file_of_the_garbling_test_is_read(tmp_path):
-    (tmp_path / "payloads").write_bytes(_valid_cache())
+    (tmp_path / CACHE_FILE).write_bytes(_valid_cache())
     offline = PyPIClient(cache_dir=tmp_path, offline=True)
     histories, _, failures = offline.fetch_many(["a", "b"])
     assert not histories
     assert [(f.package, f.reason, f.detail) for f in failures] == [
-        ("a", "bad-payload", "payload for 'a' has no releases map"),
-        ("b", "bad-payload", "payload for 'b' has no releases map"),
+        ("a", "not-found", "package 'a' has no published releases"),
+        ("b", "bad-payload", "cached payload for 'b' is not a map of upload times"),
     ]
+
+
+_MALFORMED_RECORDS = {
+    b"<html>": "payload for 'pkg' is not JSON: ",
+    b"[]": "cached payload for 'pkg' is not a map of upload times",
+    b'{"1.0": 5}': "cached payload for 'pkg' is not a map of upload times",
+    b'{"1.0": ["x"]}': "cached payload for 'pkg' is not a map of upload times",
+}
+
+
+@pytest.mark.parametrize("body", list(_MALFORMED_RECORDS))
+def test_a_malformed_record_is_bad_offline_and_downloaded_again_online(tmp_path, body):
+    write_cache(tmp_path, {"pkg": body})
+    offline = PyPIClient(cache_dir=tmp_path, offline=True)
+    histories, _, [failure] = offline.fetch_many(["pkg"])
+    assert not histories
+    assert (failure.package, failure.reason) == ("pkg", "bad-payload")
+    assert failure.detail.startswith(_MALFORMED_RECORDS[body])
+    transport = make_transport([(200, payload({"1.0": []}))])
+    histories, _, failures = PyPIClient(transport=transport, cache_dir=tmp_path).fetch_many(["pkg"])
+    assert len(histories["pkg"]) == 1 and not failures
+    assert len(transport.calls) == 1
+    assert cached(tmp_path) == [("pkg", record({"1.0": None}))]
 
 
 def test_cache_files_of_earlier_versions_are_ignored(tmp_path):
     (tmp_path / "pkg.json").write_bytes(payload({"1.0": []}))
+    # The single file of the previous version: each body as downloaded.
+    body = payload({"1.0": []})
+    (tmp_path / "payloads").write_bytes(b'["pkg", %d]\n%s' % (len(body), body))
     offline = PyPIClient(cache_dir=tmp_path, offline=True)
     _, _, [failure] = offline.fetch_many(["pkg"])
     assert failure.reason == "offline-miss"
@@ -606,19 +643,19 @@ def test_cache_files_of_earlier_versions_are_ignored(tmp_path):
     histories, _, failures = PyPIClient(transport=transport, cache_dir=tmp_path).fetch_many(["pkg"])
     assert len(histories["pkg"]) == 1 and not failures
     assert len(transport.calls) == 1
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["payloads", "pkg.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["payloads", "pkg.json", CACHE_FILE])
 
 
 def test_a_rewrite_keeps_the_records_it_did_not_replace(tmp_path):
-    write_cache(tmp_path, {"kept": payload({"0.1": []}), "stale": payload({"": []})})
+    write_cache(tmp_path, {"kept": record({"0.1": None}), "stale": record({"": None})})
     transport = make_transport([(200, payload({"1.0": []})), (200, payload({"2.0": []}))])
     client = PyPIClient(transport=transport, cache_dir=tmp_path)
     histories, _, failures = client.fetch_many(["new", "stale"])
     assert set(histories) == {"new", "stale"} and not failures
     assert cached(tmp_path) == [
-        ("new", payload({"1.0": []})),
-        ("stale", payload({"2.0": []})),
-        ("kept", payload({"0.1": []})),
+        ("new", record({"1.0": None})),
+        ("stale", record({"2.0": None})),
+        ("kept", record({"0.1": None})),
     ]
 
 
@@ -628,13 +665,14 @@ def test_every_name_round_trips_through_the_cache(names):
     # Names that normalize alike ("A_b", "a-B") share one record; a name
     # repeated in the batch is written once.
     bodies = {name: payload({"1.0": [], f"{i + 1}.0": []}) for i, name in enumerate(names)}
+    records = {name: record({"1.0": None, f"{i + 1}.0": None}) for i, name in enumerate(names)}
 
     def transport(url):
         return 200, bodies[url[len("https://pypi.org/pypi/") : -len("/json")]]
 
-    first = {}  # normalized name: the first spelling in the batch and its body
+    first = {}  # normalized name: the first spelling in the batch and its record
     for name in names:
-        first.setdefault(normalize_name(name), (name, bodies[name]))
+        first.setdefault(normalize_name(name), (name, records[name]))
     with tempfile.TemporaryDirectory() as tmp:
         online = PyPIClient(transport=transport, cache_dir=tmp, workers=2)
         fetched, _, failures = online.fetch_many(names)
@@ -710,6 +748,42 @@ def test_fetched_histories_round_trip_through_a_snapshot(maps):
     for history in [*histories.values(), *loaded.values()]:
         for release in history.releases:
             assert _fields(release.version) == _fields(parse_version(release.raw))
+
+
+# File lists as a payload may hold them: either stamp key or both, empty,
+# non-string and non-ASCII stamps, entries that are not objects, and
+# values that are not lists at all.
+_stamp_values = st.one_of(
+    st.sampled_from(_STAMPS), st.just(""), st.integers(), st.lists(st.none(), max_size=1), st.text()
+)
+_file_entries = st.one_of(
+    st.fixed_dictionaries(
+        {}, optional={"upload_time_iso_8601": _stamp_values, "upload_time": _stamp_values}
+    ),
+    st.integers(),
+    st.text(max_size=3),
+    st.none(),
+)
+raw_release_maps = st.dictionaries(
+    st.one_of(st.sampled_from(_TRICKY_KEYS), oracles.version_texts(), st.text(max_size=6)),
+    st.one_of(st.lists(_file_entries, max_size=4), st.none(), st.text(max_size=3), st.just({})),
+    max_size=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(raw_release_maps, min_size=1, max_size=4))
+def test_an_offline_fetch_returns_what_the_online_fetch_that_cached_it_returned(maps):
+    bodies = {f"pkg{i}": payload(releases) for i, releases in enumerate(maps)}
+
+    def transport(url):
+        return 200, bodies[url.split("/")[-2]]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        online = PyPIClient(transport=transport, cache_dir=tmp, workers=2).fetch_many(sorted(bodies))
+        offline = PyPIClient(cache_dir=tmp, offline=True).fetch_many(sorted(bodies))
+    assert offline == online
+    assert {f.reason for f in online[2]} <= {"not-found", "bad-payload"}
 
 
 @settings(max_examples=200, deadline=None)
@@ -801,7 +875,7 @@ def test_snapshot_and_cache_files_get_the_mode_open_gives(tmp_path):
         histories, _, failures = client.fetch_many(["pkg"])
         assert set(histories) == {"pkg"} and not failures
         assert mode(directory / "snap.json") == mode(plain)
-        assert mode(directory / "payloads") == mode(plain)
+        assert mode(directory / CACHE_FILE) == mode(plain)
         return mode(plain)
 
     check(tmp_path / "inherited")
