@@ -341,7 +341,7 @@ class PyPIClient:
         data = path.read_bytes() if path is not None and path.is_file() else b""
         records = _cache_records(data)
         written: set[str] = set()  # the normalized names this run caches
-        outcomes: deque = deque()  # per package: a history, a RegistryError or a download
+        outcomes: deque = deque()  # per package: a history, a failure record or a download
         pool = ThreadPoolExecutor(max_workers=self.workers)
         try:
             with contextlib.ExitStack() as stack:
@@ -352,7 +352,7 @@ class PyPIClient:
                     try:
                         outcome = self._cached(package, body, parse)
                     except RegistryError as exc:
-                        outcome = exc
+                        outcome = AttritionRecord(package, exc.reason, str(exc))
                     if outcome is None:
                         if cache is None and path is not None:
                             cache = stack.enter_context(_atomic_file(path, "wb"))
@@ -371,9 +371,9 @@ class PyPIClient:
                                 cache.write(record)
                             outcome = _history(package, times, parse)
                         except RegistryError as exc:
-                            outcome = exc
-                    if isinstance(outcome, RegistryError):
-                        failures.append(AttritionRecord(package, outcome.reason, str(outcome)))
+                            outcome = AttritionRecord(package, exc.reason, str(exc))
+                    if isinstance(outcome, AttritionRecord):
+                        failures.append(outcome)
                         continue
                     history, history_warnings = outcome
                     histories[package] = history

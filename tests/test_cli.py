@@ -6,6 +6,7 @@ by an injected transport callable.
 """
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -87,17 +88,22 @@ def test_help_exits_zero(capsys):
     assert "vulnseries" in capsys.readouterr().out
 
 
+def run_python(*args):
+    """Run a fresh interpreter that imports the program from ``src``."""
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 def test_each_module_imports_on_its_own_and_the_cli_runs_as_a_module():
     # The package root imports nothing, so only a fresh interpreter shows
     # a submodule that depends on another having been imported first.
     modules = sorted(p.stem for p in (SRC / "vulnseries").glob("*.py") if p.stem != "__init__")
     assert "cli" in modules
-    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     runs = [["-c", f"import vulnseries.{module}"] for module in modules]
     runs.append(["-m", "vulnseries.cli", "--help"])
     for args in runs:
-        done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+        done = run_python(*args)
         assert done.returncode == 0, (args, done.stderr)
 
 
@@ -613,6 +619,16 @@ def test_forecast_matches_the_frozen_document(tmp_path):
     assert out.read_bytes() == EXPECTED_FORECAST.read_bytes()
 
 
+def test_forecast_run_as_a_module_matches_the_frozen_document(tmp_path):
+    # A fresh interpreter enters main with the cyclic collector enabled,
+    # as a console-script run does.
+    out = tmp_path / "forecast.json"
+    argv = ["forecast", "--db", DB, "--snapshot", SNAPSHOT, "--no-timestamp", "--out", str(out)]
+    done = run_python("-m", "vulnseries.cli", *argv)
+    assert done.returncode == 0, done.stderr
+    assert out.read_bytes() == EXPECTED_FORECAST.read_bytes()
+
+
 def test_forecast_meta_echoes_the_flags(tmp_path):
     doc = run_json(
         tmp_path,
@@ -1044,3 +1060,137 @@ def test_side_files_are_the_same_in_either_format(tmp_path, command):
         ]
     assert all(len(side.splitlines()) > 1 for side in sides["csv"])
     assert sides["json"] == sides["csv"]
+
+
+# -- the collector pause ----------------------------------------------------
+
+
+def exit_case(tmp_path, case):
+    """``(argv, outcome)`` for one way out of ``main``: an exit code, or the
+    exception that escapes it."""
+    if case == "success":
+        out = str(tmp_path / "build.json")
+        return ["build", "--db", DB, "--snapshot", SNAPSHOT, "--no-timestamp", "--out", out], 0
+    if case == "help":
+        return ["--help"], 0
+    if case == "usage":
+        return [], 1
+    if case == "data":
+        bad = tmp_path / "snap.json"
+        bad.write_text('{"schema_version": 99, "histories": {}}', encoding="utf-8")
+        return ["build", "--db", DB, "--snapshot", str(bad)], 2
+    if case == "environment":
+        return ["build", "--db", str(tmp_path / "nope.json"), "--snapshot", SNAPSHOT], 3
+    db_path = ingest_db(tmp_path, ["aaa"])
+    return ["ingest", "--db", db_path, "--snapshot", str(tmp_path / "snap.json")], RuntimeError
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("case", ["success", "help", "usage", "data", "environment", "escapes"])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, case, enabled):
+    argv, outcome = exit_case(tmp_path, case)
+    seen = []
+
+    def transport(url):
+        seen.append(gc.isenabled())
+        raise RuntimeError("transport bug")
+
+    entry = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        if outcome is RuntimeError:
+            with pytest.raises(RuntimeError, match="transport bug"):
+                cli.main(argv, transport=transport)
+            assert seen == [False]  # paused in ingest's worker thread too
+        else:
+            assert cli.main(argv, transport=transport) == outcome
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if entry else gc.disable)()
+
+
+def fixture_index():
+    """A transport serving the fixture snapshot's histories as index payloads."""
+    return make_transport(
+        {
+            name: (200, payload_for([(rel.raw, rel.upload_time) for rel in history.releases]))
+            for name, history in load_snapshot(SNAPSHOT).items()
+        }
+    )
+
+
+def pipeline_runs(tmp_path, packages):
+    """``(name, argv, transport)`` of every subcommand on the fixtures, in pipeline
+    order, each given ``packages`` (all of them when empty)."""
+    database = json.loads(Path(DB).read_text(encoding="utf-8"))
+    indexed = ",".join(sorted(set(database) & set(load_snapshot(SNAPSHOT))))
+    cache = ["--cache", str(tmp_path / "cache")]
+    runs = [
+        ("ingest", ["ingest", *cache, "--snapshot", str(tmp_path / "cold.json")], fixture_index()),
+        # Offline, a package the index lacks is a miss, so name the ones it has.
+        ("ingest --offline", ["ingest", *cache, "--offline", "--packages", indexed,
+                              "--snapshot", str(tmp_path / "warm.json")], None),
+    ]
+    for name, flags in [
+        ("build", []),
+        ("markov", []),
+        ("forecast", []),
+        ("forecast --ridge", ["--ridge", "--max-order-frac", "0.3"]),
+    ]:
+        out = str(tmp_path / f"{name.replace(' ', '')}.json")
+        argv = [name.split()[0], "--snapshot", SNAPSHOT, "--no-timestamp", "--out", out, *flags]
+        runs.append((name, argv, None))
+    return [(name, [*argv, "--db", DB, *packages], transport) for name, argv, transport in runs]
+
+
+def collector_garbage(argv, transport=None):
+    """Run ``argv`` with the collector paused and saving all it finds, then collect;
+    returns the exit code, the garbage's size and the program's types in it."""
+    entry = gc.isenabled()
+    gc.collect()
+    start = len(gc.garbage)
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code = cli.main(argv, transport=transport)
+        gc.collect()
+        garbage = gc.garbage[start:]
+        program = {
+            f"{type(obj).__module__}.{type(obj).__qualname__}"
+            for obj in garbage
+            if isinstance(obj, np.ndarray)
+            or (type(obj).__module__.startswith("vulnseries") and type(obj) is not cli._Parser)
+        }
+        return code, len(garbage), sorted(program)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if entry:
+            gc.enable()
+
+
+def test_no_command_leaves_cyclic_garbage_but_its_parser(tmp_path, capsys):
+    # Pausing the collector for a command is safe only because the
+    # program's data holds no reference cycles: the one cyclic garbage
+    # is the parser's, whose size does not grow with the data.
+    sizes = {}
+    for variant, packages in [("all", []), ("one", ["--packages", "alphapkg"])]:
+        for name, argv, transport in pipeline_runs(tmp_path / variant, packages):
+            code, size, program = collector_garbage(argv, transport)
+            assert (code, program) == (0, []), name
+            sizes.setdefault(name, []).append(size)
+    assert all(len(set(pair)) == 1 for pair in sizes.values()), sizes
+
+
+@pytest.mark.parametrize("offline", [False, True], ids=["not-found", "offline-miss"])
+def test_a_package_failing_last_leaves_no_cyclic_garbage(tmp_path, capsys, offline):
+    # The failure of the last package fetched is the one that outlives
+    # its loop in fetch_many, where a kept exception would hold the frame
+    # that holds it.
+    argv = ["ingest", "--db", DB, "--snapshot", str(tmp_path / "snap.json"),
+            "--packages", "alphapkg,indiapkg", "--cache", str(tmp_path / "cache")]
+    if offline:
+        assert cli.main(argv, transport=fixture_index()) == 0
+        argv.append("--offline")
+    code, _, program = collector_garbage(argv, None if offline else fixture_index())
+    assert (code, program) == (3 if offline else 0, [])
