@@ -436,7 +436,12 @@ def build_parser(transport=None) -> _Parser:
 
     ingest = commands.add_parser("ingest", help="fetch release histories into a snapshot")
     _add_inputs(ingest)
-    ingest.add_argument("--cache", help="cache directory of versions and upload times")
+    ingest.add_argument(
+        "--cache",
+        help="cache directory; its release_times.json is one JSON object of each package's "
+        "versions and upload times, ignored as a whole when garbled anywhere (a directory "
+        "of an earlier version is cold once)",
+    )
     ingest.add_argument("--offline", action="store_true", help="serve from cache only")
     ingest.add_argument("--workers", type=_positive_int, default=4)
     ingest.set_defaults(run=functools.partial(cmd_ingest, transport=transport))

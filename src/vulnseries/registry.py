@@ -9,12 +9,13 @@ version does not scramble the series.
 Network access goes through an injectable ``transport`` callable so
 tests never touch the real index.  Of each response the cache keeps only
 what a history is built from, every version string with its earliest
-upload time, in one file per cache directory, which only a run that
-downloads something rewrites, whole and atomically; the cache files of
-earlier versions are ignored, so such a directory is cold once.
-``offline=True`` serves from cache only.  A *snapshot*
-bundles many ordered histories into one schema-versioned JSON document
-so downstream stages are reproducible without any network at all.
+upload time, in one JSON object per cache directory (the file
+``release_times.json``), which only a run that downloads something
+rewrites, whole and atomically.  A file garbled anywhere is ignored as a
+whole, and the cache files of earlier versions are ignored, so such a
+directory is cold once.  ``offline=True`` serves from cache only.  A
+*snapshot* bundles many ordered histories into one schema-versioned JSON
+document so downstream stages are reproducible without any network at all.
 """
 
 from __future__ import annotations
@@ -145,13 +146,6 @@ def _default_transport(url: str) -> tuple[int, bytes]:
     return response.status_code, response.content
 
 
-def _decoded(package: str, body: bytes) -> object:
-    try:
-        return json.loads(body)
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
-        raise PayloadFormatError(f"payload for {package!r} is not JSON: {exc}") from exc
-
-
 def _earliest_upload(files: object) -> str | None:
     if not isinstance(files, list):
         return None
@@ -167,7 +161,10 @@ def _earliest_upload(files: object) -> str | None:
 def _upload_times(package: str, body: bytes) -> dict[str, str | None]:
     """A downloaded payload's releases map, each version's file list reduced to its
     earliest upload time, in the payload's order."""
-    doc = _decoded(package, body)
+    try:
+        doc = json.loads(body)
+    except (ValueError, RecursionError) as exc:  # also bytes that are not text, or too deep
+        raise PayloadFormatError(f"payload for {package!r} is not JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("releases"), dict):
         raise PayloadFormatError(f"payload for {package!r} has no releases map")
     return {raw: _earliest_upload(files) for raw, files in doc["releases"].items()}
@@ -177,9 +174,8 @@ def _upload_times(package: str, body: bytes) -> dict[str, str | None]:
 _STAMP_TYPES = {str, type(None)}
 
 
-def _cached_upload_times(package: str, body: bytes) -> dict[str, str | None]:
-    """The map of version to upload time that a cache record's ``body`` holds."""
-    times = _decoded(package, body)
+def _cached_upload_times(package: str, times: object) -> dict[str, str | None]:
+    """A cache record's map of version to upload time, checked."""
     if not isinstance(times, dict) or not set(map(type, times.values())) <= _STAMP_TYPES:
         raise PayloadFormatError(f"cached payload for {package!r} is not a map of upload times")
     return times
@@ -197,8 +193,9 @@ def _history(
 
 
 @contextlib.contextmanager
-def _atomic_file(path: Path, mode: str, encoding: str | None = None) -> Iterator[IO]:
-    """Open a temporary file beside ``path``; rename it over ``path`` when the block ends.
+def _atomic_file(path: Path) -> Iterator[IO[str]]:
+    """Open a temporary UTF-8 text file beside ``path``; rename it over ``path`` when
+    the block ends.
 
     A snapshot or the release cache streams into it without a second copy
     in memory; on any error the temporary file is removed and ``path`` is
@@ -207,7 +204,7 @@ def _atomic_file(path: Path, mode: str, encoding: str | None = None) -> Iterator
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}{os.urandom(6).hex()}.tmp")
-    handle = open(tmp, mode.replace("w", "x"), encoding=encoding)
+    handle = open(tmp, "x", encoding="utf-8")
     try:
         with handle:
             yield handle
@@ -215,28 +212,6 @@ def _atomic_file(path: Path, mode: str, encoding: str | None = None) -> Iterator
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _cache_records(data: bytes) -> dict[str, tuple[int, int, int]]:
-    """Where each record of a release cache starts, where its body starts and where it
-    ends, by normalized name; a cache truncated or garbled anywhere has no records.
-
-    A body is a JSON object of version string to upload time or null; only
-    :func:`_cached_upload_times` looks inside it."""
-    records = {}
-    start = 0
-    try:
-        while start < len(data):
-            newline = data.index(b"\n", start)
-            name, size = json.loads(data[start:newline])
-            end = newline + 1 + size
-            if type(name) is not str or type(size) is not int or size < 0 or end > len(data):
-                return {}
-            records[name] = (start, newline + 1, end)
-            start = end
-    except (ValueError, TypeError):
-        return {}
-    return records
 
 
 class PyPIClient:
@@ -261,15 +236,16 @@ class PyPIClient:
         self.workers = max(1, workers)
 
     def _cached(
-        self, package: str, body: bytes | None, parse: Callable[[str], Version]
+        self, package: str, records: Mapping[str, object], parse: Callable[[str], Version]
     ) -> _History | None:
-        """The history of a cached record ``body``, or ``None`` online when it is missing or
-        bad; offline, those are an :class:`OfflineCacheMissError` and a
-        :class:`PayloadFormatError`.  A body is bad when it is not a JSON object of
+        """The history of the cache record of ``package``, or ``None`` online when it is
+        missing or bad; offline, those are an :class:`OfflineCacheMissError` and a
+        :class:`PayloadFormatError`.  A record is bad when it is not a JSON object of
         strings or nulls, or when a version key does not parse."""
-        if body is not None:
+        name = normalize_name(package)
+        if name in records:
             try:
-                return _history(package, _cached_upload_times(package, body), parse)
+                return _history(package, _cached_upload_times(package, records[name]), parse)
             except PayloadFormatError:
                 if self.offline:
                     raise
@@ -305,25 +281,26 @@ class PyPIClient:
     ) -> tuple[dict[str, ReleaseHistory], tuple[str, ...], tuple[AttritionRecord, ...]]:
         """Fetch several packages, downloading up to ``workers`` at once.
 
-        The cache is one file, ``releases`` in the cache directory, of records:
-        a JSON line ``[normalized name, byte count]``, then the body, the
-        payload's releases map with each file list reduced to its earliest
-        upload time: a JSON object of version string to time or null, in the
-        payload's order.  It is read once.  A truncated or garbled file is
-        ignored as a whole, and so are the ``payloads`` and ``<name>.json``
-        files of earlier versions, so such a directory is cold once.  Worker
-        threads only run :meth:`_download`; offline, none is started.  The
-        calling thread checks each payload and parses and orders every
-        history, in package order, through one memo of :func:`parse_version`
-        that ends with the call; a file list is reduced only when it is
-        downloaded.  A payload or record that cannot be interpreted, including
-        one with a version key that does not parse, is a ``bad-payload``;
-        online, a cached one is downloaded again.
+        The cache is one file, ``release_times.json`` in the cache directory,
+        holding one JSON object: normalized name to the payload's releases map
+        with each file list reduced to its earliest upload time, a JSON object
+        of version string to time or null, in the payload's order.  It is read
+        once, by one ``json.loads``.  A file that is truncated, not an object
+        or garbled anywhere is ignored as a whole, and so are the cache files
+        of earlier versions, so such a directory is cold once.  Worker threads
+        only run :meth:`_download`; offline, none is started.  The calling
+        thread checks each payload and parses and orders every history, in
+        package order, through one memo of :func:`parse_version` that ends
+        with the call; a file list is reduced only when it is downloaded.  A
+        payload or record that cannot be interpreted, including one with a
+        version key that does not parse, is a ``bad-payload``; online, a
+        cached one is downloaded again.
 
         Only a run that downloads something rewrites the cache.  It opens the
-        replacement before the first request, appends each downloaded releases
-        map as a record, copies the records it did not replace and renames the
-        file over the old one at the end.  A run that raises or is interrupted keeps the
+        replacement before the first request, streams in each downloaded map
+        as an object member (the first spelling of a normalized name wins),
+        copies the members it did not replace and renames the file over the
+        old one at the end.  A run that raises or is interrupted keeps the
         previous file and caches nothing.  Of two processes sharing a cache
         directory, the last to rename wins, and nothing is corrupted.
 
@@ -337,25 +314,34 @@ class PyPIClient:
         warnings: list[str] = []
         failures: list[AttritionRecord] = []
         parse = functools.lru_cache(maxsize=None)(parse_version)
-        path = self.cache_dir / "releases" if self.cache_dir is not None else None
-        data = path.read_bytes() if path is not None and path.is_file() else b""
-        records = _cache_records(data)
-        written: set[str] = set()  # the normalized names this run caches
+        path = self.cache_dir / "release_times.json" if self.cache_dir is not None else None
+        try:
+            records = json.loads(path.read_bytes()) if path is not None and path.is_file() else {}
+        except (ValueError, RecursionError):
+            records = {}
+        if not isinstance(records, dict):
+            records = {}
+        written: set[str] = set()  # the normalized names in the replacement cache file
         outcomes: deque = deque()  # per package: a history, a failure record or a download
         pool = ThreadPoolExecutor(max_workers=self.workers)
         try:
             with contextlib.ExitStack() as stack:
                 cache = None
+
+                def put(name: str, times: object) -> None:  # once per normalized name
+                    if name not in written:
+                        separator = ", " if written else "{"
+                        cache.write(f"{separator}{json.dumps(name)}: {json.dumps(times)}")
+                        written.add(name)
+
                 for package in packages:
-                    record = records.get(normalize_name(package))
-                    body = data[record[1] : record[2]] if record else None
                     try:
-                        outcome = self._cached(package, body, parse)
+                        outcome = self._cached(package, records, parse)
                     except RegistryError as exc:
                         outcome = AttritionRecord(package, exc.reason, str(exc))
                     if outcome is None:
                         if cache is None and path is not None:
-                            cache = stack.enter_context(_atomic_file(path, "wb"))
+                            cache = stack.enter_context(_atomic_file(path))
                         outcome = pool.submit(self._download, package)
                     outcomes.append(outcome)
                 for package in packages:
@@ -363,12 +349,8 @@ class PyPIClient:
                     if isinstance(outcome, Future):
                         try:
                             times = _upload_times(package, outcome.result())
-                            name = normalize_name(package)
-                            if cache is not None and name not in written:
-                                written.add(name)
-                                record = json.dumps(times).encode()
-                                cache.write(b"%s\n" % json.dumps([name, len(record)]).encode())
-                                cache.write(record)
+                            if cache is not None:
+                                put(normalize_name(package), times)
                             outcome = _history(package, times, parse)
                         except RegistryError as exc:
                             outcome = AttritionRecord(package, exc.reason, str(exc))
@@ -379,9 +361,9 @@ class PyPIClient:
                     histories[package] = history
                     warnings.extend(history_warnings)
                 if cache is not None:
-                    for name, (start, _, end) in records.items():
-                        if name not in written:
-                            cache.write(data[start:end])
+                    for name, times in records.items():
+                        put(name, times)
+                    cache.write("}" if written else "{}")
         finally:
             pool.shutdown(cancel_futures=True)
         return histories, tuple(warnings), tuple(failures)
@@ -399,7 +381,7 @@ def save_snapshot(path: str | os.PathLike, histories: Mapping[str, ReleaseHistor
     ``json.dump(doc, indent=2, sort_keys=True)`` and a newline, written one history
     at a time from one row template so the whole text is never held in memory."""
     quote = encode_basestring_ascii
-    with _atomic_file(Path(path), "w", encoding="utf-8") as handle:
+    with _atomic_file(Path(path)) as handle:
         handle.write('{\n  "histories": {')
         separator = "\n    "
         for name, history in sorted(histories.items()):
@@ -433,7 +415,7 @@ def load_snapshot(path: str | os.PathLike) -> dict[str, ReleaseHistory]:
         raise SnapshotNotFoundError(f"snapshot {target} does not exist")
     try:
         doc = json.loads(target.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as exc:  # also bytes that are not UTF-8, or too deep
         raise SnapshotSchemaError(f"snapshot {target} is not valid JSON: {exc}") from exc
     schema = doc.get("schema_version") if isinstance(doc, dict) else "?"
     # A type test, since true and 1.0 both compare equal to 1.

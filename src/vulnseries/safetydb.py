@@ -163,7 +163,7 @@ def load_database(source: Union[bytes, str, IO[bytes]]) -> DatabaseLoadResult:
     raw = source.read() if hasattr(source, "read") else source
     try:
         doc = json.loads(raw)
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+    except (ValueError, RecursionError) as exc:  # also bytes that are not text, or too deep
         raise DatabaseLoadError(f"database is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DatabaseLoadError("database top level must be a JSON object keyed by package name")

@@ -126,6 +126,13 @@ def test_invalid_database_json_is_a_data_error(tmp_path):
     assert cli.main(["build", "--db", str(bad), "--snapshot", SNAPSHOT]) == 2
 
 
+def test_database_nested_past_the_recursion_limit_is_a_data_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_bytes(b"[" * 200000)
+    assert cli.main(["build", "--db", str(deep), "--snapshot", SNAPSHOT]) == 2
+    assert capsys.readouterr().err.startswith("data error: database is not valid JSON: ")
+
+
 def test_wrong_database_shape_is_a_data_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2, 3]", encoding="utf-8")
@@ -141,6 +148,14 @@ def test_corrupt_snapshot_is_a_data_error(tmp_path):
     bad = tmp_path / "snap.json"
     bad.write_text('{"schema_version": 99, "histories": {}}', encoding="utf-8")
     assert cli.main(["build", "--db", DB, "--snapshot", str(bad)]) == 2
+
+
+def test_snapshot_nested_past_the_recursion_limit_is_a_data_error(tmp_path, capsys):
+    deep = tmp_path / "snap.json"
+    deep.write_bytes(b"[" * 200000)
+    assert cli.main(["build", "--db", DB, "--snapshot", str(deep)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith(f"data error: snapshot {deep} is not valid JSON: ")
 
 
 @pytest.mark.parametrize("version", [1.0, ["1.0"], None, ""])

@@ -39,38 +39,21 @@ from vulnseries.versions import Version, parse_version
 
 FIXTURES = Path(__file__).parent / "fixtures"
 # The cache file's name in a cache directory.
-CACHE_FILE = "releases"
+CACHE_FILE = "release_times.json"
 
 
 def payload(releases: dict) -> bytes:
     return json.dumps({"info": {}, "releases": releases}).encode("utf-8")
 
 
-def record(times: dict) -> bytes:
-    """The cache record body of a map of version string to upload time or None."""
-    return json.dumps(times).encode()
-
-
 def write_cache(directory: Path, records: dict) -> None:
-    """Write a cache file holding ``records``, normalized name to body."""
-    (directory / CACHE_FILE).write_bytes(
-        b"".join(b"%s\n%s" % (json.dumps([n, len(b)]).encode(), b) for n, b in records.items())
-    )
+    """Write a cache file holding ``records``, normalized name to record."""
+    (directory / CACHE_FILE).write_text(json.dumps(records))
 
 
 def cached(directory: Path) -> list:
-    """The (name, body) records of the cache file in ``directory``, in file order."""
-    data = (directory / CACHE_FILE).read_bytes()
-    records, start = [], 0
-    while start < len(data):
-        newline = data.index(b"\n", start)
-        name, size = json.loads(data[start:newline])
-        assert size >= 0
-        records.append((name, data[newline + 1 : newline + 1 + size]))
-        assert newline + 1 + size > start
-        start = newline + 1 + size
-    assert start == len(data)
-    return records
+    """The (name, record) members of the cache file in ``directory``, in file order."""
+    return list(json.loads((directory / CACHE_FILE).read_bytes()).items())
 
 
 def make_transport(responses):
@@ -226,7 +209,7 @@ def test_cache_serves_second_fetch_without_transport(tmp_path):
     first, _, _ = client.fetch_many(["pkg"])
     second, _, failures = client.fetch_many(["pkg"])
     assert len(transport.calls) == 1
-    assert cached(tmp_path) == [("pkg", record({"1.0": None}))]
+    assert cached(tmp_path) == [("pkg", {"1.0": None})]
     assert second["pkg"] == first["pkg"] and not failures
 
 
@@ -265,7 +248,7 @@ def test_bad_payload_is_not_cached(tmp_path):
 
 
 def test_unparsable_cache_entry_is_refetched_online_only(tmp_path):
-    write_cache(tmp_path, {"flask": b"<html>"})
+    write_cache(tmp_path, {"flask": "<html>"})
 
     def explode(url):
         raise AssertionError("offline client must not touch the network")
@@ -273,13 +256,13 @@ def test_unparsable_cache_entry_is_refetched_online_only(tmp_path):
     offline = PyPIClient(transport=explode, cache_dir=tmp_path, offline=True)
     histories, _, [failure] = offline.fetch_many(["flask"])
     assert not histories and failure.reason == "bad-payload"
-    assert failure.detail.startswith("payload for 'flask' is not JSON: ")
+    assert failure.detail == "cached payload for 'flask' is not a map of upload times"
     transport = make_transport([(200, payload({"1.0": []}))])
     online = PyPIClient(transport=transport, cache_dir=tmp_path)
     histories, _, failures = online.fetch_many(["flask"])
     assert len(histories["flask"]) == 1 and not failures
     assert len(transport.calls) == 1
-    assert cached(tmp_path) == [("flask", record({"1.0": None}))]
+    assert cached(tmp_path) == [("flask", {"1.0": None})]
 
 
 def test_cache_dir_from_environment(tmp_path, monkeypatch):
@@ -294,6 +277,7 @@ def test_fetch_many_collects_failures_without_aborting(tmp_path):
         "good": (200, payload({"1.0": [], "1.1": []})),
         "gone": (404, b""),
         "broken": (200, b"not json"),
+        "deep": (200, b"[" * 200000),  # nested past the decoder's recursion limit
     }
 
     def transport(url):
@@ -303,10 +287,10 @@ def test_fetch_many_collects_failures_without_aborting(tmp_path):
         raise AssertionError(url)
 
     client = PyPIClient(transport=transport, workers=2)
-    histories, warnings, failures = client.fetch_many(["good", "gone", "broken"])
+    histories, warnings, failures = client.fetch_many(["good", "gone", "broken", "deep"])
     assert set(histories) == {"good"}
     reasons = {f.package: f.reason for f in failures}
-    assert reasons == {"gone": "not-found", "broken": "bad-payload"}
+    assert reasons == {"gone": "not-found", "broken": "bad-payload", "deep": "bad-payload"}
     offline = PyPIClient(transport=transport, cache_dir=tmp_path, offline=True)
     _, _, failures = offline.fetch_many(["good"])
     assert [(f.package, f.reason) for f in failures] == [("good", "offline-miss")]
@@ -379,7 +363,7 @@ def test_fetch_many_has_several_downloads_in_flight():
 
 
 def test_offline_fetch_many_starts_no_thread(tmp_path, monkeypatch):
-    write_cache(tmp_path, {"good": record({"1.0": None}), "bad": b"<html>"})
+    write_cache(tmp_path, {"good": {"1.0": None}, "bad": "<html>"})
 
     def refuse(*args, **kwargs):
         raise AssertionError("an offline batch submitted a task")
@@ -412,7 +396,7 @@ def test_every_parse_runs_on_the_calling_thread(tmp_path, monkeypatch):
 
     PyPIClient(transport=transport, cache_dir=tmp_path).fetch_many(["a", "c", "e"])
     # A cached record whose version key does not parse is downloaded again.
-    write_cache(tmp_path, {**dict(cached(tmp_path)), "c": record({"": None})})
+    write_cache(tmp_path, {**dict(cached(tmp_path)), "c": {"": None}})
     parses = []
 
     def recording_parse(text):
@@ -472,7 +456,7 @@ def test_an_unwritable_cache_fails_before_any_request(tmp_path):
 def test_a_failing_cache_write_cancels_the_downloads_not_started(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     cache.mkdir()
-    write_cache(cache, {"old": record({"0.1": None})})
+    write_cache(cache, {"old": {"0.1": None}})
     before = (cache / CACHE_FILE).read_bytes()
     calls = []
 
@@ -486,16 +470,16 @@ def test_a_failing_cache_write_cancels_the_downloads_not_started(tmp_path, monke
             self.handle, self.writes = handle, 0
 
         def write(self, data):
-            self.writes += 1  # a record is a header write and a body write
-            if self.writes > 2:
+            self.writes += 1  # one write per member
+            if self.writes > 1:
                 raise OSError("disk full")
             return self.handle.write(data)
 
     opened = registry._atomic_file
 
     @contextlib.contextmanager
-    def failing_append(path, mode, encoding=None):
-        with opened(path, mode, encoding) as handle:
+    def failing_append(path):
+        with opened(path) as handle:
             yield SecondRecordFails(handle)
 
     monkeypatch.setattr(registry, "_atomic_file", failing_append)
@@ -519,8 +503,25 @@ def test_a_cold_run_leaves_one_cache_file(tmp_path):
     assert set(histories) == set(bodies) and not failures
     assert [p.name for p in tmp_path.iterdir()] == [CACHE_FILE]
     assert cached(tmp_path) == [
-        (name, record({"1.0": None, f"1.{i}": None})) for i, name in enumerate(names)
+        (name, {"1.0": None, f"1.{i}": None}) for i, name in enumerate(names)
     ]
+
+
+def test_the_cache_file_is_one_json_object_of_upload_times_by_normalized_name(tmp_path):
+    files = [{"upload_time_iso_8601": "2021-02-01T00:00:00Z"}, {"upload_time": "2021-01-01T00:00:00"}]
+    bodies = {
+        "Foo_Bar": payload({"1.0": files, "0.9": [], "1.1": "not a file list"}),
+        "zope.x": payload({"2.0": files[:1]}),
+    }
+
+    def transport(url):
+        return 200, bodies[url.split("/")[-2]]
+
+    PyPIClient(transport=transport, cache_dir=tmp_path).fetch_many(list(bodies))
+    assert json.loads((tmp_path / CACHE_FILE).read_bytes()) == {
+        "foo-bar": {"1.0": "2021-01-01T00:00:00", "0.9": None, "1.1": None},
+        "zope-x": {"2.0": "2021-02-01T00:00:00Z"},
+    }
 
 
 def test_runs_that_download_nothing_leave_the_cache_file_untouched(tmp_path, monkeypatch):
@@ -546,7 +547,7 @@ def test_runs_that_download_nothing_leave_the_cache_file_untouched(tmp_path, mon
 
 
 def test_a_run_that_raises_keeps_the_previous_cache_file(tmp_path):
-    write_cache(tmp_path, {"old": record({"0.1": None})})
+    write_cache(tmp_path, {"old": {"0.1": None}})
     before = (tmp_path / CACHE_FILE).read_bytes()
 
     def transport(url):
@@ -562,23 +563,33 @@ def test_a_run_that_raises_keeps_the_previous_cache_file(tmp_path):
 
 
 def _valid_cache() -> bytes:
-    return b'["a", 2]\n{}["b", 3]\n[1]'
+    return b'{"a": {}, "b": [1]}'
+
+
+# A valid file of the [name, byte count] record framing an earlier version wrote.
+_FRAMED = b'["a", 2]\n{}["b", 3]\n[1]'
 
 
 @pytest.mark.parametrize(
     "data",
     [
-        _valid_cache()[:-1],  # a truncated body
-        _valid_cache()[:12],  # a truncated header
-        _valid_cache() + b'["c", 0]',  # a header without its line end
-        _valid_cache().replace(b'["b", 3]', b"not json"),
-        _valid_cache().replace(b'["b", 3]', b'["b", -3]'),
-        b'["a",-11] \n',  # a size that leads back to its own header
-        _valid_cache().replace(b'["b", 3]', b'["b", 3.0]'),
-        _valid_cache().replace(b'["b", 3]', b'["b", true]'),
-        _valid_cache().replace(b'["b", 3]', b'[7, 3]'),
-        _valid_cache().replace(b'["b", 3]', b'["b"]'),
-        _valid_cache().replace(b'["b", 3]', b"3"),
+        b"",
+        _valid_cache()[:-1],  # a truncated object
+        b"[" + _valid_cache() + b"]",
+        b"null",
+        b"7",
+        _valid_cache().replace(b'"b"', b'"\xff"'),  # bytes that are not UTF-8
+        _valid_cache() + b"}",  # junk after a valid object
+        pytest.param(b"[" * 100000 + b"]" * 100000 + b"\n", id="nested-past-the-recursion-limit"),
+        # Files in that framing, truncated or garbled; none of them is JSON.
+        _FRAMED[:12],  # a truncated header
+        _FRAMED + b'["c", 0]',  # a header without its line end
+        _FRAMED.replace(b'["b", 3]', b"not json"),
+        _FRAMED.replace(b'["b", 3]', b'["b", 3.0]'),
+        _FRAMED.replace(b'["b", 3]', b'["b", true]'),
+        _FRAMED.replace(b'["b", 3]', b'[7, 3]'),
+        _FRAMED.replace(b'["b", 3]', b'["b"]'),
+        _FRAMED.replace(b'["b", 3]', b"3"),
         b"\xff\n",
     ],
 )
@@ -594,7 +605,7 @@ def test_a_truncated_or_garbled_cache_file_is_ignored_as_a_whole(tmp_path, data)
     )
     assert set(histories) == {"a", "b"} and not failures
     assert len(transport.calls) == 2
-    assert cached(tmp_path) == [("a", record({"1.0": None})), ("b", record({"2.0": None}))]
+    assert cached(tmp_path) == [("a", {"1.0": None}), ("b", {"2.0": None})]
 
 
 def test_the_valid_cache_file_of_the_garbling_test_is_read(tmp_path):
@@ -608,34 +619,31 @@ def test_the_valid_cache_file_of_the_garbling_test_is_read(tmp_path):
     ]
 
 
-_MALFORMED_RECORDS = {
-    b"<html>": "payload for 'pkg' is not JSON: ",
-    b"[]": "cached payload for 'pkg' is not a map of upload times",
-    b'{"1.0": 5}': "cached payload for 'pkg' is not a map of upload times",
-    b'{"1.0": ["x"]}': "cached payload for 'pkg' is not a map of upload times",
-}
+# The JSON text of a record that is not a map of version to upload time or null.
+_MALFORMED_RECORDS = [b'"<html>"', b"null", b"[]", b'{"1.0": 5}', b'{"1.0": ["x"]}']
 
 
-@pytest.mark.parametrize("body", list(_MALFORMED_RECORDS))
+@pytest.mark.parametrize("body", _MALFORMED_RECORDS)
 def test_a_malformed_record_is_bad_offline_and_downloaded_again_online(tmp_path, body):
-    write_cache(tmp_path, {"pkg": body})
+    write_cache(tmp_path, {"pkg": json.loads(body)})
     offline = PyPIClient(cache_dir=tmp_path, offline=True)
     histories, _, [failure] = offline.fetch_many(["pkg"])
     assert not histories
     assert (failure.package, failure.reason) == ("pkg", "bad-payload")
-    assert failure.detail.startswith(_MALFORMED_RECORDS[body])
+    assert failure.detail == "cached payload for 'pkg' is not a map of upload times"
     transport = make_transport([(200, payload({"1.0": []}))])
     histories, _, failures = PyPIClient(transport=transport, cache_dir=tmp_path).fetch_many(["pkg"])
     assert len(histories["pkg"]) == 1 and not failures
     assert len(transport.calls) == 1
-    assert cached(tmp_path) == [("pkg", record({"1.0": None}))]
+    assert cached(tmp_path) == [("pkg", {"1.0": None})]
 
 
 def test_cache_files_of_earlier_versions_are_ignored(tmp_path):
     (tmp_path / "pkg.json").write_bytes(payload({"1.0": []}))
-    # The single file of the previous version: each body as downloaded.
-    body = payload({"1.0": []})
-    (tmp_path / "payloads").write_bytes(b'["pkg", %d]\n%s' % (len(body), body))
+    # The record files of two earlier versions: each body as downloaded, and each
+    # releases map reduced to its upload times.
+    for name, body in (("payloads", payload({"1.0": []})), ("releases", b'{"1.0": null}')):
+        (tmp_path / name).write_bytes(b'["pkg", %d]\n%s' % (len(body), body))
     offline = PyPIClient(cache_dir=tmp_path, offline=True)
     _, _, [failure] = offline.fetch_many(["pkg"])
     assert failure.reason == "offline-miss"
@@ -643,19 +651,22 @@ def test_cache_files_of_earlier_versions_are_ignored(tmp_path):
     histories, _, failures = PyPIClient(transport=transport, cache_dir=tmp_path).fetch_many(["pkg"])
     assert len(histories["pkg"]) == 1 and not failures
     assert len(transport.calls) == 1
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["payloads", "pkg.json", CACHE_FILE])
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["payloads", "pkg.json", "releases", CACHE_FILE]
+    )
+    assert cached(tmp_path) == [("pkg", {"1.0": None})]
 
 
 def test_a_rewrite_keeps_the_records_it_did_not_replace(tmp_path):
-    write_cache(tmp_path, {"kept": record({"0.1": None}), "stale": record({"": None})})
+    write_cache(tmp_path, {"kept": {"0.1": None}, "stale": {"": None}})
     transport = make_transport([(200, payload({"1.0": []})), (200, payload({"2.0": []}))])
     client = PyPIClient(transport=transport, cache_dir=tmp_path)
     histories, _, failures = client.fetch_many(["new", "stale"])
     assert set(histories) == {"new", "stale"} and not failures
     assert cached(tmp_path) == [
-        ("new", record({"1.0": None})),
-        ("stale", record({"2.0": None})),
-        ("kept", record({"0.1": None})),
+        ("new", {"1.0": None}),
+        ("stale", {"2.0": None}),
+        ("kept", {"0.1": None}),
     ]
 
 
@@ -665,7 +676,7 @@ def test_every_name_round_trips_through_the_cache(names):
     # Names that normalize alike ("A_b", "a-B") share one record; a name
     # repeated in the batch is written once.
     bodies = {name: payload({"1.0": [], f"{i + 1}.0": []}) for i, name in enumerate(names)}
-    records = {name: record({"1.0": None, f"{i + 1}.0": None}) for i, name in enumerate(names)}
+    records = {name: {"1.0": None, f"{i + 1}.0": None} for i, name in enumerate(names)}
 
     def transport(url):
         return 200, bodies[url[len("https://pypi.org/pypi/") : -len("/json")]]
