@@ -6,12 +6,13 @@ plus a constant.  A design is a numpy lag matrix whose row i is
 [1, w_{i-1}, ..., w_{i-l}]; one matrix at the largest candidate order
 serves every smaller order as its leading columns.  Fitting maximizes
 the exact likelihood by iteratively reweighted least squares with step
-halving, so the objective never decreases between iterations.  One
-pass over the design's tables runs first.  It finds perfect separation,
-where no MLE exists, when the responses are constant, when a lag's 2×2
-table with the response has an empty cell, or when lags 1 and 2 split
-the responses in their joint table (Albert & Anderson, 1984); later
-separation is found by the iterations' divergence checks.  Its lag-1
+halving, so the objective never decreases between iterations, and
+stops on the Newton decrement.  One pass over the design's tables runs
+first.  It finds perfect separation, where no MLE exists, when the
+responses are constant, when a lag's 2×2 table with the response has an
+empty cell, or when lags 1 and 2 split the responses in their joint
+table (Albert & Anderson, 1984); later separation is found when a
+Newton step or the coefficients meet the same sign conditions.  Its lag-1
 table also fits the order-1 model, the first-order Markov chain: when
 all four transition counts are positive the MLE is their shares, in
 closed form without iterating.  Separation is either reported as an
@@ -49,11 +50,8 @@ from .markov import transition_counts
 from .vectorize import BinarySeries
 
 LOGLIK_TOL = 1e-8
-GRADIENT_TOL = 1e-6
 MAX_ITERATIONS = 100
-SEPARATION_BOUND = 30.0
-SEPARATION_PROBE_BOUND = 10.0
-SEPARATION_PROBE_STEP = 5.0
+SEPARATION_ETA = 10.0
 RIDGE_LAMBDA = 1e-4
 PARSIMONY_MARGIN = 4.0
 # The forecast study's defaults; the CLI flags take theirs from here.
@@ -65,6 +63,7 @@ TIE_VALUE = 1
 _CONSTANT = "responses are constant; likelihood is unbounded"
 _EMPTY_CELL = "perfect separation: lag {} leaves an empty cell in its table with the response"
 _SPLIT = "perfect separation: lags 1 and 2 split the responses in their joint table"
+_WITNESS = "perfect separation: a Newton step or the coefficients separate the responses"
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,17 +212,18 @@ def _irls(
 
     Returns (beta, objective, converged, iterations); no accepted step
     lowers the objective.  The iterations start at zero unless ``start``
-    is given.  With lam = 0 two conditions raise :class:`SeparationError`:
-    a coefficient running past the separation bound while the likelihood
-    still improves (complete separation inflates coefficients fast); and
-    a converged solution with a linear predictor past the probe bound
-    whose likelihood still strictly increases along the flattest
-    direction of XᵀWX, the eigenvector of its smallest eigenvalue signed
-    toward beta.  Quasi-complete separation stalls the step size before
-    the bound; concavity makes the outward probe a sound divergence
-    witness.  A recession direction along an axis is an empty cell,
-    which ``fit`` reports before iterating.  A singular weighted system
-    raises :class:`SingularModelError`.
+    is given.  They stop after the step whose predicted gain, half the
+    Newton decrement gᵀH⁻¹g, is under ``LOGLIK_TOL``, which does not
+    change when a column is rescaled (Boyd & Vandenberghe, 2004,
+    §9.5.1), or where no halving keeps a step from lowering the objective.
+
+    With lam = 0, once some |eta| exceeds ``SEPARATION_ETA``, an accepted
+    step or new beta that is a witness raises :class:`SeparationError`:
+    d with sᵢxᵢ·d ≥ −τ on every row and > τ on some, where sᵢ = 2yᵢ − 1
+    and τ = 1e-6·maxᵢ|sᵢxᵢ·d| (Albert & Anderson, 1984).  The gate only
+    delays the test; τ makes it inexact, so its agreement with the LP
+    rests on ``tests/separation_sweep.py`` and the test suite.  A
+    singular weighted system raises :class:`SingularModelError`.
     """
     beta = np.zeros(X.shape[1]) if start is None else np.array(start, dtype=float)
     eta = X @ beta
@@ -241,6 +241,7 @@ def _irls(
             step = np.linalg.solve(hessian, gradient)
         except np.linalg.LinAlgError:
             raise SingularModelError("weighted least-squares system is singular") from None
+        converged = float(gradient @ step) < 2.0 * LOGLIK_TOL
         # Halve the step up to 30 times until the objective does not fall.
         for _ in range(31):
             candidate = beta + step
@@ -251,32 +252,17 @@ def _irls(
             step /= 2.0
         if value < current:
             break
-        largest = np.maximum.reduce(np.abs(candidate))
-        if lam == 0.0 and value > current and largest > SEPARATION_BOUND:
-            raise SeparationError(
-                "perfect separation: a coefficient exceeds "
-                f"{SEPARATION_BOUND} while the likelihood still improves"
-            )
-        improvement = value - current
+        if lam == 0.0 and np.maximum.reduce(np.abs(eta)) > SEPARATION_ETA:
+            # sᵢxᵢ·d for d the step, then d the new beta.
+            for margins in (2.0 * y - 1.0) * np.array([X @ step, eta]):
+                tau = 1e-6 * np.maximum.reduce(np.abs(margins))
+                if np.minimum.reduce(margins) >= -tau and np.maximum.reduce(margins) > tau:
+                    raise SeparationError(_WITNESS)
         beta, current = candidate, value
+        if converged:
+            break
         p = _sigmoid(eta)
         gradient = _gradient(X, y, p) - 2.0 * lam * beta if lam else _gradient(X, y, p)
-        if improvement < LOGLIK_TOL and np.maximum.reduce(np.abs(gradient)) < GRADIENT_TOL:
-            converged = True
-            break
-    # Gated on the linear predictor, not on beta: a recession direction
-    # spread over several lags can leave every coefficient under the
-    # bound at a point that depends on the start.
-    if lam == 0.0 and converged and np.maximum.reduce(np.abs(eta)) > SEPARATION_PROBE_BOUND:
-        weights = p * (1.0 - p)
-        flattest = np.linalg.eigh((X * weights[:, None]).T @ X)[1][:, 0]
-        if flattest @ beta < 0:
-            flattest = -flattest
-        if _loglik(y, X @ (beta + SEPARATION_PROBE_STEP * flattest)) > current:
-            raise SeparationError(
-                "perfect separation: the likelihood still rises along the "
-                "flattest direction of the weighted system"
-            )
     return beta, current, converged, iterations
 
 
@@ -354,8 +340,10 @@ def fit(
     that split the responses in their joint table.  Its lag-1 table fits
     an order-1 0/1 design in closed form when the four transition counts
     are all positive (``iterations=0``); every other design is fit by
-    damped Newton iterations, whose separation checks raise
-    :class:`SeparationError` too.  A singular weighted system raises
+    damped Newton iterations, which stop on the Newton decrement and
+    raise :class:`SeparationError` when a step or the coefficients meet
+    Albert & Anderson's sign conditions up to a relative tolerance (see
+    ``_irls``).  A singular weighted system raises
     :class:`SingularModelError`.  With ``ridge_fallback`` set, either
     error instead retries the fit from zero with a small quadratic
     penalty, flagged as ``ridge`` (and as ``separation_detected`` after

@@ -7,6 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oracles import log_likelihood, score, simulate
@@ -155,6 +157,23 @@ def test_objective_trace_is_monotone(monkeypatch):
     assert trace[0] == pytest.approx(design.n * math.log(0.5))
     assert trace[-1] == model.loglik
     assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
+
+
+@pytest.mark.parametrize("scale", [1e-2, 1e7])
+def test_rescaling_the_lag_columns_rescales_only_the_slopes(scale):
+    # Neither the stop nor the separation test may depend on a column's
+    # scale: at 1e-2 the MLE exists with slopes of about 100, and at 1e7
+    # the rounding floor of the gradient grows with the column.
+    design = build_lag_design(series(simulate((-0.5, 1.5), 200, random.Random(5))), 2)
+    reference = fit(design)
+    X = design.X.copy()
+    X[:, 1:] *= scale
+    model = fit(LagDesign(X, design.y))
+    assert model.converged and reference.converged
+    assert model.loglik == pytest.approx(reference.loglik, abs=1e-9)
+    assert model.beta[0] == pytest.approx(reference.beta[0], rel=1e-8)
+    slopes = scale * np.asarray(model.beta[1:])
+    assert slopes.tolist() == pytest.approx(reference.beta[1:], rel=1e-8)
 
 
 def _outcome(design):
@@ -319,15 +338,19 @@ def test_a_constant_lag_column_is_still_singular():
     assert str(caught.value) == "weighted least-squares system is singular"
 
 
-def test_the_flattest_direction_finds_separation_off_the_axes():
+_WITNESS = "perfect separation: a Newton step or the coefficients separate the responses"
+
+
+def test_a_witness_finds_separation_off_the_axes():
     # Every 2x2 table is full, lags 1 and 2 split nothing, and the
-    # recession direction is e_2 - e_3: without the probe the fit
-    # returned (0.9, -0.6, 18.9, -19.5).
+    # recession direction is e_2 - e_3: without the witness check the
+    # fit returns (0.9, -0.6, 18.9, -19.5) as converged.
     design = build_lag_design(series([0, 0, 0, 0, 1, 1, 1, 0, 1]), 3)
     assert oracles.lp_separated(design.X, design.y)
     assert autologistic._separation(design.X, design.y) == (4, "", (1, 2, 1, 2))
-    with pytest.raises(SeparationError, match="flattest direction"):
+    with pytest.raises(SeparationError) as caught:
         fit(design)
+    assert str(caught.value) == _WITNESS
 
 
 @pytest.mark.parametrize(
@@ -366,17 +389,18 @@ def test_lags_one_and_two_decide_order_two_before_iterating(monkeypatch, values,
     assert str(caught.value) == message
 
 
-def test_the_flattest_direction_probe_does_not_depend_on_the_start():
-    # Started at zero, this separated order-4 design converges with every
-    # |beta_j| under SEPARATION_PROBE_BOUND; started at the order-3 fit,
-    # with a coefficient past it.  The probe's gate reads the linear
-    # predictor, so both starts find the separation.
+def test_the_witness_does_not_depend_on_the_start():
+    # A separated order-4 design whose order-3 design has an MLE, fit
+    # from zero and from the order-3 fit.  The witness check's gate reads
+    # the linear predictor, not the coefficients, so both starts find
+    # the separation.
     shared = build_lag_design(series([1, 0, 1, 0, 0, 0, 1, 1, 0, 1, 0, 0, 0, 0]), 4)
     assert oracles.lp_separated(shared.X, shared.y)
     lower = fit(LagDesign(shared.X[:, :4], shared.y))
     for start in (None, (*lower.beta, 0.0)):
-        with pytest.raises(SeparationError, match="flattest direction"):
+        with pytest.raises(SeparationError) as caught:
             fit(shared, _start=start)
+        assert str(caught.value) == _WITNESS
 
 
 @pytest.mark.parametrize("values", [[0, 1] * 6, [0, 0, 0, 0, 1, 1, 1, 1]])
@@ -497,9 +521,8 @@ def test_order_one_separation_verdicts_are_exactly_the_lps():
 _VERDICT_KINDS = {
     "responses are constant": "constant",
     "leaves an empty cell": "zero-cell",
-    "flattest direction": "flattest",
     "lags 1 and 2 split": "pair",
-    "while the likelihood still improves": "bound",
+    _WITNESS: "witness",
 }
 
 
@@ -529,13 +552,28 @@ def test_every_separation_verdict_is_lp_separated():
                     misses[order] += _lp_separated_rows(design, memo)
     for order in (2, 3):
         assert verdicts[order, "zero-cell"] > 100 and verdicts[order, "pair"] > 100
-    # Lags 1 and 2 decide every order-2 design the probe used to; the
-    # probe still decides some at order 3.  The pair rule also decides the
-    # order-3 designs whose recession cone is two-dimensional, where XᵀWX
-    # has two near-zero eigenvalues and its flattest eigenvector alone is
-    # no direction of increase.
-    assert verdicts[2, "flattest"] == 0 and verdicts[3, "flattest"] > 0
+    # The table checks decide every separated order-2 design; a witness
+    # found during the iterations decides some at order 3.
+    assert verdicts[2, "witness"] == 0 and verdicts[3, "witness"] > 0
     assert dict(misses) == {1: 0, 2: 0, 3: 0}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=12, max_size=60), st.integers(4, 6))
+def test_fit_raises_separation_exactly_when_the_lp_finds_it(values, order):
+    # Orders 4-6 of longer series, beyond the exhaustive checks: every
+    # verdict matches the LP, and every fit that returns has converged.
+    design = build_lag_design(series(values), order)
+    assume(design.n > order)
+    try:
+        model = fit(design)
+    except SingularModelError:
+        assume(False)
+    except SeparationError:
+        assert oracles.lp_separated(design.X, design.y)
+    else:
+        assert model.converged
+        assert not oracles.lp_separated(design.X, design.y)
 
 
 def test_select_order_returns_no_aic_above_the_first_separated_order():
@@ -731,19 +769,20 @@ def test_orders_start_at_the_fit_below_until_the_first_ridge_fit(monkeypatch):
     assert second.ridge and second.separation_detected
 
 
-def test_an_order_above_a_probe_separated_order_takes_the_ridge_directly(monkeypatch):
-    # No table check separates this series' cap design; the flattest-
-    # direction probe finds order 3 separated, so order 3 is a ridge fit.
-    # Order 4's own unpenalized fit converges, in 19 iterations, although
-    # its design is separated too: (b, 0) carries order 3's direction b
-    # up.  Under the ridge, order 4 must take the ridge fit directly, as
-    # an order above a table-separated order does.
+def test_an_order_above_a_witness_separated_order_takes_the_ridge_directly(monkeypatch):
+    # No table check separates this series' cap design; a witness finds
+    # order 3 separated during its iterations, so order 3 is a ridge fit.
+    # Order 4's design is separated too: (b, 0) carries order 3's
+    # direction b up, and its own fit finds a witness as well.  Under the
+    # ridge, order 4 must take the ridge fit directly, as an order above
+    # a table-separated order does.
     w = series(int(v) for v in "00000000111101")
     shared = build_lag_design(w, 4)
     assert autologistic._separation(shared.X, shared.y)[:2] == (5, "")
     assert oracles.lp_separated(shared.X, shared.y)
-    unpenalized = fit(shared, ridge_fallback=True)
-    assert unpenalized.converged and not unpenalized.ridge
+    with pytest.raises(SeparationError) as caught:
+        fit(shared)
+    assert str(caught.value) == _WITNESS
     irls = autologistic._irls
     calls = []
 
@@ -757,7 +796,6 @@ def test_an_order_above_a_probe_separated_order_takes_the_ridge_directly(monkeyp
     assert calls == [(2, 0.0), (3, 0.0), (3, ridge), (4, ridge)]
     penalized = irls(shared.X, shared.y, ridge)[0]
     assert selection.aics[4] == 10.0 - 2.0 * log_likelihood(shared, penalized)
-    assert selection.aics[4] != unpenalized.aic
 
 
 def test_a_singular_fit_skips_only_its_own_order(monkeypatch):
