@@ -46,7 +46,6 @@ from .errors import (
     SeparationError,
     SingularModelError,
 )
-from .markov import transition_counts
 from .vectorize import BinarySeries
 
 LOGLIK_TOL = 1e-8
@@ -294,15 +293,7 @@ def _separation(X: np.ndarray, y: np.ndarray) -> tuple[int, str, tuple[int, ...]
     k = X.shape[1]
     if not _binary(y):
         return k, "", None
-    cells = None
-    if k > 1 and _binary(X[:, 1]):
-        (n00, n01), (n10, n11) = transition_counts(X[:, 1], y)
-        cells = n00, n01, n10, n11
-        if n00 + n01 and n10 + n11 and not min(cells):
-            return 1, _EMPTY_CELL.format(1), cells
-    if k < 3:
-        return k, "", cells
-    lags = X[:, 2:]
+    lags = X[:, 1:]
     n = len(y)
     ones = lags.sum(axis=0)
     n11 = y @ lags
@@ -311,7 +302,10 @@ def _separation(X: np.ndarray, y: np.ndarray) -> tuple[int, str, tuple[int, ...]
     empty = (n11 == 0) | (n11 == ones) | (n01 == 0) | (n01 == n - ones)
     empty &= (0 < ones) & (ones < n)
     # Only the columns a verdict reads are checked for 0/1 values.
-    first = next((int(j) + 2 for j in np.flatnonzero(empty) if _binary(lags[:, j])), k)
+    first = next((int(j) + 1 for j in np.flatnonzero(empty) if _binary(lags[:, j])), k)
+    cells = None
+    if k > 1 and _binary(X[:, 1]):
+        cells = tuple(map(int, (n - ones[0] - n01[0], n01[0], ones[0] - n11[0], n11[0])))
     if first > 2 and cells and _binary(X[:, 2]):
         # (failures, successes) at each corner 2 * lag 1 + lag 2.
         joint = np.bincount((4 * X[:, 1] + 2 * X[:, 2] + y).astype(np.intp), minlength=8).tolist()

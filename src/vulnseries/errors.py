@@ -2,8 +2,8 @@
 
 A failure becomes a library error where it arises.  A stage that sets
 an item aside instead of failing turns that error, or its own verdict,
-into one :class:`AttritionRecord` with a stable reason code; registry
-errors carry their code as the ``reason`` class attribute.
+into one :class:`AttritionRecord` with a stable reason code; a
+:class:`RegistryError` carries its code as its ``reason`` attribute.
 """
 
 from __future__ import annotations
@@ -50,36 +50,12 @@ class DatabaseLoadError(VulnseriesError):
 
 
 class RegistryError(VulnseriesError):
-    """Base class for package index retrieval failures.
+    """A package index retrieval failure under its attrition ``reason`` code:
+    ``not-found``, ``transport``, ``offline-miss`` or ``bad-payload``."""
 
-    Each subclass declares the attrition ``reason`` code it records under.
-    """
-
-    reason: str
-
-
-class PackageNotFoundError(RegistryError):
-    """The index does not know the package, or it has no usable releases."""
-
-    reason = "not-found"
-
-
-class TransportError(RegistryError):
-    """Network failure that persisted through the retry budget."""
-
-    reason = "transport"
-
-
-class OfflineCacheMissError(RegistryError):
-    """Offline mode was requested but the package is not in the local cache."""
-
-    reason = "offline-miss"
-
-
-class PayloadFormatError(RegistryError):
-    """The index returned a payload we cannot interpret."""
-
-    reason = "bad-payload"
+    def __init__(self, reason: str, message: str):
+        super().__init__(message)
+        self.reason = reason
 
 
 class SnapshotNotFoundError(VulnseriesError):

@@ -6,9 +6,11 @@ release's timestamp is the earliest across its files.  Ordering is by
 version precedence first and timestamp second, so a backfilled old
 version does not scramble the series.
 
-Network access goes through an injectable ``transport`` callable so
-tests never touch the real index.  Of each response the cache keeps only
-what a history is built from, every version string with its earliest
+An injectable ``transport`` callable, url to (status, body), does network
+access; it raises ``RegistryError("transport", message)`` on a network
+failure, which is retried.  Every failure is that one type, told apart by
+its ``reason`` code, not by subclass.  Of each response the cache keeps
+only what a history is built from, every version string with its earliest
 upload time, in one JSON object per cache directory (the file
 ``release_times.json``), which only a run that downloads something
 rewrites, whole and atomically.  A file garbled anywhere is ignored as a
@@ -35,13 +37,9 @@ from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequen
 
 from .errors import (
     AttritionRecord,
-    OfflineCacheMissError,
-    PackageNotFoundError,
-    PayloadFormatError,
     RegistryError,
     SnapshotNotFoundError,
     SnapshotSchemaError,
-    TransportError,
     VersionParseError,
 )
 from .versions import Version, parse_version
@@ -142,7 +140,7 @@ def _default_transport(url: str) -> tuple[int, bytes]:
     try:
         response = requests.get(url, timeout=30)
     except requests.RequestException as exc:
-        raise TransportError(f"request to {url} failed: {exc}") from exc
+        raise RegistryError("transport", f"request to {url} failed: {exc}") from exc
     return response.status_code, response.content
 
 
@@ -164,9 +162,9 @@ def _upload_times(package: str, body: bytes) -> dict[str, str | None]:
     try:
         doc = json.loads(body)
     except (ValueError, RecursionError) as exc:  # also bytes that are not text, or too deep
-        raise PayloadFormatError(f"payload for {package!r} is not JSON: {exc}") from exc
+        raise RegistryError("bad-payload", f"payload for {package!r} is not JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("releases"), dict):
-        raise PayloadFormatError(f"payload for {package!r} has no releases map")
+        raise RegistryError("bad-payload", f"payload for {package!r} has no releases map")
     return {raw: _earliest_upload(files) for raw, files in doc["releases"].items()}
 
 
@@ -177,7 +175,9 @@ _STAMP_TYPES = {str, type(None)}
 def _cached_upload_times(package: str, times: object) -> dict[str, str | None]:
     """A cache record's map of version to upload time, checked."""
     if not isinstance(times, dict) or not set(map(type, times.values())) <= _STAMP_TYPES:
-        raise PayloadFormatError(f"cached payload for {package!r} is not a map of upload times")
+        raise RegistryError(
+            "bad-payload", f"cached payload for {package!r} is not a map of upload times"
+        )
     return times
 
 
@@ -185,11 +185,11 @@ def _history(
     package: str, times: Mapping[str, str | None], parse: Callable[[str], Version]
 ) -> _History:
     if not times:
-        raise PackageNotFoundError(f"package {package!r} has no published releases")
+        raise RegistryError("not-found", f"package {package!r} has no published releases")
     try:
         return order_history(package, times.items(), parse=parse)
     except VersionParseError as exc:
-        raise PayloadFormatError(str(exc)) from exc
+        raise RegistryError("bad-payload", str(exc)) from exc
 
 
 @contextlib.contextmanager
@@ -239,18 +239,20 @@ class PyPIClient:
         self, package: str, records: Mapping[str, object], parse: Callable[[str], Version]
     ) -> _History | None:
         """The history of the cache record of ``package``, or ``None`` online when it is
-        missing or bad; offline, those are an :class:`OfflineCacheMissError` and a
-        :class:`PayloadFormatError`.  A record is bad when it is not a JSON object of
-        strings or nulls, or when a version key does not parse."""
+        missing or bad; offline, those raise ``offline-miss`` and ``bad-payload``, and an
+        empty record is ``not-found`` online too.  A record is bad when it is not a JSON
+        object of strings or nulls, or when a version key does not parse."""
         name = normalize_name(package)
         if name in records:
             try:
                 return _history(package, _cached_upload_times(package, records[name]), parse)
-            except PayloadFormatError:
-                if self.offline:
+            except RegistryError as exc:
+                if self.offline or exc.reason != "bad-payload":
                     raise
         elif self.offline:
-            raise OfflineCacheMissError(f"offline mode and no cached payload for {package!r}")
+            raise RegistryError(
+                "offline-miss", f"offline mode and no cached payload for {package!r}"
+            )
         return None
 
     def _download(self, package: str) -> bytes:
@@ -259,22 +261,20 @@ class PyPIClient:
         Worker threads run only this: checking and caching the body are the
         calling thread's."""
         url = f"{self.endpoint}/{package}/json"
-        last_error: Exception | None = None
         for attempt in range(_MAX_ATTEMPTS):
             if attempt:
                 self.sleep(_BACKOFF_S * (2 ** (attempt - 1)))
             try:
                 status, body = self.transport(url)
-            except TransportError as exc:
+            except RegistryError as exc:
                 last_error = exc
                 continue
             if status == 404:
-                raise PackageNotFoundError(f"package {package!r} not found on the index")
-            if status != 200:
-                last_error = TransportError(f"index returned HTTP {status} for {package!r}")
-                continue
-            return body
-        raise last_error or TransportError(f"no response for {package!r}")
+                raise RegistryError("not-found", f"package {package!r} not found on the index")
+            if status == 200:
+                return body
+            last_error = RegistryError("transport", f"index returned HTTP {status} for {package!r}")
+        raise last_error
 
     def fetch_many(
         self, packages: Sequence[str]

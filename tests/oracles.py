@@ -4,7 +4,8 @@ Every helper here recomputes an answer the package also produces, but by
 a different route: per-release comparison instead of positional fills,
 scipy quasi-Newton instead of the package's own Newton solver, central
 finite differences instead of the analytic score, a linear program
-instead of the solver's separation checks.  Agreement between the
+instead of the solver's separation checks, a row-by-row count of each
+lag's 2x2 table instead of column sums.  Agreement between the
 two routes is then evidence rather than tautology.  Version order has
 its own reference too: a component-by-component parse, key and canonical
 form over a separate copy of the grammar.  A few helpers only expose
@@ -442,6 +443,25 @@ def lp_separated(X: np.ndarray, y: np.ndarray, tol: float = 1e-7) -> bool:
     if result.status != 0:
         raise RuntimeError(f"separation LP failed: {result.message}")
     return -result.fun > tol
+
+
+def lag_tables(X: np.ndarray, y: np.ndarray) -> list[tuple[int, int, int, int] | None]:
+    """Each lag column's 2x2 table with the responses, counted row by row.
+
+    Entry j - 1 is column j's (n00, n01, n10, n11), where nab counts the
+    rows with lag value a and response b; it is None when the column or
+    the responses hold a value other than 0 and 1.
+    """
+    responses = [float(v) for v in y]
+    tables: list[tuple[int, int, int, int] | None] = []
+    for j in range(1, X.shape[1]):
+        column = [float(v) for v in X[:, j]]
+        if set(column) | set(responses) <= {0.0, 1.0}:
+            pairs = list(zip(column, responses))
+            tables.append(tuple(pairs.count((a, b)) for a in (0.0, 1.0) for b in (0.0, 1.0)))
+        else:
+            tables.append(None)
+    return tables
 
 
 def fd_gradient(fun, x: Sequence[float], eps: float = 1e-5) -> np.ndarray:

@@ -389,6 +389,43 @@ def test_lags_one_and_two_decide_order_two_before_iterating(monkeypatch, values,
     assert str(caught.value) == message
 
 
+_SPLIT = "perfect separation: lags 1 and 2 split the responses in their joint table"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 1), min_size=4, max_size=40),
+    st.integers(1, 5),
+    st.lists(st.sampled_from([1.0, 1.0, 2.0, -0.5]), min_size=5, max_size=5),
+    st.sampled_from([1.0, 1.0, 0.5]),
+)
+def test_separation_reads_each_01_lag_like_its_own_2x2_table(values, order, scales, y_scale):
+    # Lag columns scaled by 2 or -0.5, lag 1 among them, are not 0/1, and
+    # responses scaled by 0.5 are not either: no table of theirs is read.
+    assume(len(values) > order)
+    design = build_lag_design(series(values), order)
+    X = design.X * np.array([1.0, *scales[:order]])
+    y = design.y * y_scale
+    tables = oracles.lag_tables(X, y)
+    if len(set(y.tolist())) == 1:
+        first, message, cells = 0, "responses are constant; likelihood is unbounded", None
+    else:
+        # The first 0/1 lag that takes both values and leaves an empty cell.
+        varying = [j for j, t in enumerate(tables, 1) if t and t[0] + t[1] and t[2] + t[3]]
+        first = next((j for j in varying if not min(tables[j - 1])), order + 1)
+        message = (
+            f"perfect separation: lag {first} leaves an empty cell in its table with the response"
+        )
+        message, cells = message if first <= order else "", tables[0]
+    verdict = autologistic._separation(X, y)
+    if verdict[1] == _SPLIT:
+        assert verdict[0] == 2 < first and oracles.lp_separated(X[:, :3], y)
+    else:
+        assert verdict[:2] == (first, message)
+    assert verdict[2] == cells
+    assert cells is None or all(type(count) is int for count in verdict[2])
+
+
 def test_the_witness_does_not_depend_on_the_start():
     # A separated order-4 design whose order-3 design has an MLE, fit
     # from zero and from the order-3 fit.  The witness check's gate reads

@@ -21,9 +21,9 @@ import oracles
 from vulnseries import registry
 from vulnseries.errors import (
     AttritionRecord,
+    RegistryError,
     SnapshotNotFoundError,
     SnapshotSchemaError,
-    TransportError,
 )
 from vulnseries.registry import (
     PyPIClient,
@@ -140,8 +140,9 @@ def test_default_transport_passes_the_response_through(monkeypatch):
     monkeypatch.setitem(sys.modules, "requests", stub)
     assert registry._default_transport("https://index.test/pypi/pkg/json") == (503, b"busy")
     url = "https://index.test/pypi/down/json"
-    with pytest.raises(TransportError) as caught:
+    with pytest.raises(RegistryError) as caught:
         registry._default_transport(url)
+    assert caught.value.reason == "transport"
     assert str(caught.value) == f"request to {url} failed: connection refused"
     assert isinstance(caught.value.__cause__, RequestException)
 
@@ -174,6 +175,22 @@ def test_exhausted_retries_raise_transport_error():
     assert not histories
     assert failures == (AttritionRecord("pkg", "transport", "index returned HTTP 500 for 'pkg'"),)
     assert len(transport.calls) == 3
+
+
+def test_a_raising_transport_is_retried_with_backoff_and_its_last_message_kept():
+    calls = []
+
+    def transport(url):
+        calls.append(url)
+        raise RegistryError("transport", f"connection reset {len(calls)}")
+
+    naps = []
+    client = PyPIClient(transport=transport, sleep=naps.append)
+    histories, _, failures = client.fetch_many(["pkg"])
+    assert not histories
+    assert failures == (AttritionRecord("pkg", "transport", "connection reset 3"),)
+    assert len(calls) == 3
+    assert naps == [0.5, 1.0]
 
 
 def test_empty_releases_map_means_not_found():
@@ -299,7 +316,7 @@ def test_fetch_many_collects_failures_without_aborting(tmp_path):
 def test_fetch_many_names_the_package_of_a_transport_failure():
     def transport(url):
         if "/flaky/" in url:
-            raise TransportError("connection reset")
+            raise RegistryError("transport", "connection reset")
         return 200, payload({"1.0": []})
 
     client = PyPIClient(transport=transport, sleep=lambda s: None, workers=2)
@@ -617,6 +634,17 @@ def test_the_valid_cache_file_of_the_garbling_test_is_read(tmp_path):
         ("a", "not-found", "package 'a' has no published releases"),
         ("b", "bad-payload", "cached payload for 'b' is not a map of upload times"),
     ]
+
+
+def test_an_empty_cached_record_is_not_found_online_without_a_download(tmp_path):
+    write_cache(tmp_path, {"pkg": {}})
+    transport = make_transport([])
+    histories, _, failures = PyPIClient(transport=transport, cache_dir=tmp_path).fetch_many(["pkg"])
+    assert not histories
+    assert failures == (
+        AttritionRecord("pkg", "not-found", "package 'pkg' has no published releases"),
+    )
+    assert transport.calls == []
 
 
 # The JSON text of a record that is not a map of version to upload time or null.
